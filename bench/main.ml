@@ -641,12 +641,13 @@ let run_engine ~quick () =
 (* ------------------------------------------------------------------ *)
 
 (* The three in-tree metal specs over the full corpus, interpreted
-   ([Mdsl.load], string states, per-function dispatch) against compiled
-   ([Mrun.compile]: typed IR -> transition tables -> prebuilt per-state
-   dispatch, int states), both through the fused multi-machine driver —
-   exactly what [mcheck --metal-interp] and [mcheck --metal-compiled]
-   run.  Diagnostics must be byte-identical (the O7 invariant); the
-   numbers land in BENCH_METALC.json.  Full mode (best of 7,
+   ([Mdsl.load], string states, per-function dispatch — the reference)
+   against compiled ([Mrun.compile]: typed IR -> transition tables ->
+   prebuilt per-state dispatch, int states), both lifted into registry
+   checkers and run through the one checking kernel with the product
+   scan on — the compiled side is exactly what [mcheck --metal] runs.
+   Diagnostics must be byte-identical (the O7 invariant); the numbers
+   land in BENCH_METALC.json.  Full mode (best of 7,
    interleaved) fails when compiled is slower than interpreted;
    [--quick] is the CI tripwire and — like the engine bench's — is
    noise-tolerant, failing only past 1.25x. *)
@@ -673,14 +674,12 @@ let run_metalc ~quick () =
   let run machines () =
     List.map
       (fun (p : Corpus.protocol) ->
-        Mrun.check_program_fused machines p.Corpus.tus)
+        Registry.run_checkers ~scan:true machines ~spec:p.Corpus.spec
+          p.Corpus.tus)
       c.Corpus.protocols
   in
   let render rss =
-    String.concat "\n"
-      (List.concat_map
-         (fun rs -> Fuzz_oracle.render (List.combine names rs))
-         rss)
+    String.concat "\n" (List.concat_map Fuzz_oracle.render rss)
   in
   (* best-of-N with the two back ends interleaved in alternating order:
      heap growth and background load drift penalize whichever side runs

@@ -122,7 +122,7 @@ let parse_strict srcs =
     Printf.eprintf "%s: lexical error: %s\n%!" (Loc.to_string loc) msg;
     raise (Robust_exit Robust.Unusable)
 
-let load_metal ?(mode = Mrun.Mode_compiled) paths =
+let load_metal paths =
   (* errors without a position still name the offending spec file *)
   let render path (e : Mir.error) =
     if Loc.is_none e.Mir.e_loc then
@@ -132,7 +132,7 @@ let load_metal ?(mode = Mrun.Mode_compiled) paths =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | path :: rest -> (
-      match Mrun.load_file ~mode path with
+      match Mrun.load_file path with
       | Ok m -> go ((path, m) :: acc) rest
       | Error errs ->
         Error (String.concat "\n" (List.map (render path) errs))
@@ -306,39 +306,61 @@ module Session = struct
     Mctel.Metrics.inc ~by:stats.Mcd.units_run m_units_run;
     Mctel.Metrics.inc ~by:stats.Mcd.units_faulted m_units_faulted
 
-  (* one checking pass over parsed units: metal specs when configured,
-     else the Mcd pool (warm cache) or the product-automaton sequential
-     driver *)
-  let run_pipeline t ~names ~spec tus =
+  (* a loaded metal spec run reports every spec's findings as one
+     ["metal"] entry, machine-major; the kernel's ["internal"] entry
+     (it follows the per-spec ones) rides along *)
+  let metal_entries n results =
+    let specs = List.filteri (fun i _ -> i < n) results
+    and internal = List.filteri (fun i _ -> i >= n) results in
+    match List.concat_map snd specs with
+    | [] -> internal
+    | diags -> ("metal", diags) :: internal
+
+  (* the one checking pass over parsed jobs: loaded metal specs through
+     the kernel, else the Mcd pool (warm cache) or the sequential product
+     driver.  Returns per-job results, the scheduler stats when the pool
+     ran, and whether any unit degraded. *)
+  let run_pipeline t ~names (jobs : Mcd.job list) =
+    let select = List.filter (fun (name, _) -> selected names name) in
+    let faulted =
+      List.exists
+        (List.exists (fun (name, ds) ->
+             String.equal name "internal" && ds <> []))
+    in
     if t.cfg.metal <> [] then
-      (* one Prep per function, shared across every loaded spec;
-         machine-major concatenation keeps the output identical to
-         running each spec alone *)
-      let diags =
-        List.concat
-          (Mrun.check_program_fused (List.map snd t.cfg.metal) tus)
+      let checkers =
+        List.map (fun (_, m) -> Registry.of_table m) t.cfg.metal
       in
-      ((if diags = [] then [] else [ ("metal", diags) ]), None, false)
+      let results =
+        List.map
+          (fun (j : Mcd.job) ->
+            metal_entries (List.length checkers)
+              (Registry.run_checkers ~scan:true checkers ~spec:j.Mcd.spec
+                 j.Mcd.tus))
+          jobs
+      in
+      (results, None, faulted results)
     else if use_mcd t then begin
       let results, stats =
-        Mcd.check_corpus ?cache:t.cache ~budget:t.cfg.budget
-          ~jobs:t.cfg.jobs ~spec tus
+        Mcd.check_jobs ?cache:t.cache ~budget:t.cfg.budget ~jobs:t.cfg.jobs
+          jobs
       in
       report_sched_stats stats;
       t.units_run <- t.units_run + stats.Mcd.units_run;
       t.cache_hits <- t.cache_hits + stats.Mcd.cache_hits;
       observe_sched stats;
-      ( List.filter (fun (name, _) -> selected names name) results,
+      ( List.map select results,
         Some stats,
         stats.Mcd.units_faulted > 0 || stats.Mcd.workers_crashed > 0 )
     end
     else
-      let results = Registry.run_all_product ~spec tus in
-      ( List.filter (fun (name, _) -> selected names name) results,
-        None,
-        List.exists
-          (fun (name, ds) -> String.equal name "internal" && ds <> [])
-          results )
+      let results =
+        List.map
+          (fun (j : Mcd.job) ->
+            Registry.run_all_product ~spec:j.Mcd.spec j.Mcd.tus)
+          jobs
+      in
+      (List.map select results, None, faulted results)
 
   let record t report ~files ~wall_ms =
     t.requests <- t.requests + 1;
@@ -386,7 +408,9 @@ module Session = struct
           in
           let spec = default_spec tus in
           let results, sched, units_degraded =
-            run_pipeline t ~names ~spec tus
+            match run_pipeline t ~names [ { Mcd.spec; tus } ] with
+            | [ results ], sched, degraded -> (results, sched, degraded)
+            | _ -> assert false
           in
           let findings = count_findings results in
           (* a run where no function survived parsing checked nothing *)
@@ -446,109 +470,48 @@ module Session = struct
           [ (name, Prelude.text ^ contents) ]
           ~skipped:0 ~had_input:true)
 
+  (* already-parsed jobs: no parse diagnostics, one scheduling pass *)
+  let check_parsed t ~names (jobs : Mcd.job list) =
+    let (results, (report : report)), wall_ms =
+      time_ms (fun () ->
+          let results, sched, degraded = run_pipeline t ~names jobs in
+          let flat = List.concat results in
+          let findings = count_findings flat in
+          let survived =
+            List.exists
+              (fun (j : Mcd.job) ->
+                List.exists (fun tu -> Ast.functions tu <> []) j.Mcd.tus)
+              jobs
+          in
+          let outcome =
+            Robust.classify ~usable:survived ~degraded
+              ~has_findings:(findings > 0)
+          in
+          ( results,
+            {
+              r_parse = [];
+              r_results = flat;
+              r_findings = findings;
+              r_outcome = outcome;
+              r_sched = sched;
+            } ))
+    in
+    record t report ~files:0 ~wall_ms;
+    (results, report)
+
   let check_units ?checkers t ~spec tus =
     Mcobs.with_span "api.check_units" (fun () ->
-        let names = effective_checkers t checkers in
-        let report, wall_ms =
-          time_ms (fun () ->
-              let results, sched, units_degraded =
-                run_pipeline t ~names ~spec tus
-              in
-              let findings = count_findings results in
-              let survived =
-                List.exists (fun tu -> Ast.functions tu <> []) tus
-              in
-              let outcome =
-                Robust.classify ~usable:survived ~degraded:units_degraded
-                  ~has_findings:(findings > 0)
-              in
-              {
-                r_parse = [];
-                r_results = results;
-                r_findings = findings;
-                r_outcome = outcome;
-                r_sched = sched;
-              })
-        in
-        record t report ~files:0 ~wall_ms;
-        report)
+        snd
+          (check_parsed t
+             ~names:(effective_checkers t checkers)
+             [ { Mcd.spec; tus } ]))
 
   (* the corpus path: every protocol through one scheduling pass (one
      Mcd pool over the whole job list), per-job result lists preserved
      for per-protocol printing *)
-  let check_jobs t (jobs : Mcd.job list) =
+  let check_jobs t jobs =
     Mcobs.with_span "api.check_jobs" (fun () ->
-        let names = t.cfg.checkers in
-        let select = List.filter (fun (name, _) -> selected names name) in
-        let (results, (report : report)), wall_ms =
-          time_ms (fun () ->
-              let results, sched, degraded =
-                if t.cfg.metal <> [] then
-                  ( List.map
-                      (fun (j : Mcd.job) ->
-                        let diags =
-                          List.concat
-                            (Mrun.check_program_fused
-                               (List.map snd t.cfg.metal)
-                               j.Mcd.tus)
-                        in
-                        if diags = [] then [] else [ ("metal", diags) ])
-                      jobs,
-                    None,
-                    false )
-                else if use_mcd t then begin
-                  let results, stats =
-                    Mcd.check_jobs ?cache:t.cache ~budget:t.cfg.budget
-                      ~jobs:t.cfg.jobs jobs
-                  in
-                  report_sched_stats stats;
-                  t.units_run <- t.units_run + stats.Mcd.units_run;
-                  t.cache_hits <- t.cache_hits + stats.Mcd.cache_hits;
-                  observe_sched stats;
-                  ( List.map select results,
-                    Some stats,
-                    stats.Mcd.units_faulted > 0
-                    || stats.Mcd.workers_crashed > 0 )
-                end
-                else
-                  let results =
-                    List.map
-                      (fun (j : Mcd.job) ->
-                        Registry.run_all_product ~spec:j.Mcd.spec j.Mcd.tus)
-                      jobs
-                  in
-                  ( List.map select results,
-                    None,
-                    List.exists
-                      (List.exists (fun (name, ds) ->
-                           String.equal name "internal" && ds <> []))
-                      results )
-              in
-              let flat = List.concat results in
-              let findings = count_findings flat in
-              let survived =
-                List.exists
-                  (fun (j : Mcd.job) ->
-                    List.exists
-                      (fun tu -> Ast.functions tu <> [])
-                      j.Mcd.tus)
-                  jobs
-              in
-              let outcome =
-                Robust.classify ~usable:survived ~degraded
-                  ~has_findings:(findings > 0)
-              in
-              ( results,
-                {
-                  r_parse = [];
-                  r_results = flat;
-                  r_findings = findings;
-                  r_outcome = outcome;
-                  r_sched = sched;
-                } ))
-        in
-        record t report ~files:0 ~wall_ms;
-        (results, report))
+        check_parsed t ~names:t.cfg.checkers jobs)
 
   let stats t =
     {

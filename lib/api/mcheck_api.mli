@@ -40,9 +40,9 @@ type config = {
       (** report only these checkers ([] = all); containment-layer
           ["internal"] entries always pass the filter *)
   metal : (string * Mrun.t) list;
-      (** when non-empty, run these loaded metal specs instead of the
-          nine built-in checkers — compiled to transition tables or
-          interpreted, per {!load_metal}'s mode *)
+      (** when non-empty, run these loaded (compiled) metal specs
+          instead of the nine built-in checkers, through the same
+          checking kernel *)
 }
 
 val default_config : config
@@ -172,11 +172,8 @@ val parse_strict : (string * string) list -> Ast.tunit list
 (** [Frontend.of_strings] with the CLI's fail-fast error reporting.
     @raise Robust_exit on the first parse or lexical error *)
 
-val load_metal :
-  ?mode:Mrun.mode -> string list -> ((string * Mrun.t) list, string) result
-(** load metal spec files — compiled to transition tables by default
-    ([Mrun.Mode_compiled]), or through the interpreter with
-    [~mode:Mrun.Mode_interp] (the [--metal-interp] escape hatch).  The
+val load_metal : string list -> ((string * Mrun.t) list, string) result
+(** load metal spec files, compiled to transition tables.  The
     first unreadable or rejected spec fails the whole load (a broken
     spec makes any run meaningless); the error string carries the
     compiler's located, classified diagnostics, newline-separated *)

@@ -157,226 +157,193 @@ let names = List.map (fun c -> c.name) all
 let run_all ~spec (tus : Ast.tunit list) : (string * Diag.t list) list =
   List.map (fun c -> (c.name, c.run ~spec tus)) all
 
-(** Run every checker on one protocol, building each function's [Prep]
-    exactly once and sharing it across all per-function checkers — the
-    fused sequential driver.  Per-checker results accumulate in source
-    order, so the output is exactly [run_all]'s.
+(* ------------------------------------------------------------------ *)
+(* Machine-backed checkers                                             *)
+(* ------------------------------------------------------------------ *)
 
-    With [guard] (the default), each (checker, function) pair runs
-    behind a fault barrier: an exception is converted into a
-    Warning-severity ["internal"] diagnostic plus a degraded
-    flow-insensitive retry, and the run completes — a non-empty fault
-    collection appends one extra [("internal", _)] entry to the result
-    list.  [~guard:false] drops the barrier (and its [try]), which is
-    what the overhead benchmark A/Bs against. *)
-let run_all_fused ?(guard = true) ~spec (tus : Ast.tunit list) :
-    (string * Diag.t list) list =
-  let ctx = make_ctx tus in
-  let faults = ref [] in
-  let fault ~loc ~func msg =
-    faults :=
-      Diag.make ~severity:Diag.Warning ~checker:"internal" ~loc ~func msg
-      :: !faults
+(* A checker over one spec-independent machine: what a loaded metal
+   extension becomes, so it runs through the same kernel as the nine. *)
+let of_machine ~name (check : Prep.t -> Diag.t list) (m : Engine.pmachine) =
+  make ~name ~description:"metal extension" ~metal_loc:0
+    ~phase:
+      (Per_function
+         {
+           check_fn = (fun ~spec:_ ~ctx:_ -> check);
+           finalize = Fun.id;
+           product = (fun ~spec:_ -> Some m);
+         })
+    ~applied:(fun tus ->
+      List.fold_left (fun n tu -> n + List.length (Ast.functions tu)) 0 tus)
+
+let of_sm (sm : 'state Sm.t) =
+  of_machine ~name:sm.Sm.name (Engine.check_prep sm) (Engine.pack sm)
+
+let of_table (t : Engine.table) =
+  of_machine ~name:(Engine.table_sm t).Sm.name (Engine.check_prep_table t)
+    (Engine.pack_table t)
+
+(* ------------------------------------------------------------------ *)
+(* The checking kernel                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* the per-function checkers in list order, and their packed machines
+   with machine-less checkers skipped: [machines.(m)] belongs to
+   [fns.(machine_of.(m))] *)
+type staged = {
+  fns : (string * (Prep.t -> Diag.t list)) array;
+  machines : Engine.pmachine array;
+  machine_of : int array;
+}
+
+let stage checkers ~spec ctx =
+  let pfs =
+    List.filter_map
+      (fun c ->
+        match c.phase with
+        | Per_function { check_fn; product; _ } ->
+          Some (c.name, check_fn ~spec ~ctx, product ~spec)
+        | Whole_program _ -> None)
+      checkers
   in
-  let staged =
+  let packed =
+    List.concat
+      (List.mapi
+         (fun k (_, _, m) -> match m with Some m -> [ (k, m) ] | None -> [])
+         pfs)
+  in
+  {
+    fns = Array.of_list (List.map (fun (name, fn, _) -> (name, fn)) pfs);
+    machines = Array.of_list (List.map snd packed);
+    machine_of = Array.of_list (List.map fst packed);
+  }
+
+let fault ~loc ~func fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Mcobs.count "registry.checker_faults";
+      Diag.make ~severity:Diag.Warning ~checker:"internal" ~loc ~func msg)
+    fmt
+
+(* The fault barrier: [run] under the budget; an exception (checker bug,
+   injected fault, exhausted budget) becomes an ["internal"] diagnostic
+   plus a degraded flow-insensitive retry. *)
+let barrier ~guard ~budget ~loc ~func ~what faults run =
+  if not guard then Engine.with_budget budget run
+  else
+    match Engine.with_budget budget run with
+    | r -> r
+    | exception exn ->
+      faults :=
+        fault ~loc ~func
+          "%s failed (%s); a degraded flow-insensitive pass was substituted"
+          what (Engine.describe_fault exn)
+        :: !faults;
+      (try Engine.with_degraded run with _ -> [])
+
+let check_function ?(guard = true) ?(budget = Engine.no_budget) ~scan st
+    (f : Ast.func) =
+  let out = Array.make (Array.length st.fns) [] in
+  let faults = ref [] in
+  (match Prep.build f with
+  | exception exn when guard ->
+    faults :=
+      [
+        fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
+          "function could not be prepared (%s); all checkers skipped for \
+           this function"
+          (Engine.describe_fault exn);
+      ]
+  | prep ->
+    (* the scan only detects: a clean machine's slice is [] by
+       construction, a dirty one re-runs below.  Containment keeps its
+       exact per-checker semantics by skipping the scan, and a scan that
+       overflows or crashes re-runs everything — the barrier then
+       reproduces and contains any real crash. *)
+    let rerun = Array.make (Array.length st.fns) true in
+    if
+      scan
+      && Array.length st.machines > 0
+      && budget = Engine.no_budget
+      && not (Engine.containment_active ())
+    then (
+      match Engine.product_scan prep st.machines with
+      | dirty -> Array.iteri (fun m k -> rerun.(k) <- dirty.(m)) st.machine_of
+      | exception _ -> ());
+    Array.iteri
+      (fun k (name, fn) ->
+        if rerun.(k) then
+          out.(k) <-
+            barrier ~guard ~budget ~loc:f.Ast.f_loc ~func:f.Ast.f_name
+              ~what:("checker " ^ name) faults (fun () -> fn prep))
+      st.fns);
+  (out, List.rev !faults)
+
+let check_program ?(guard = true) ?(budget = Engine.no_budget) ~spec tus c =
+  match c.phase with
+  | Per_function _ ->
+    invalid_arg "Registry.check_program: per-function checker"
+  | Whole_program g ->
+    let faults = ref [] in
+    let slice =
+      barrier ~guard ~budget ~loc:Loc.none ~func:"<whole-program>"
+        ~what:("whole-program checker " ^ c.name) faults (fun () ->
+          g ~spec tus)
+    in
+    (slice, !faults)
+
+let assemble checkers ~per_function ~whole_program ~faults =
+  let k = ref 0 and w = ref 0 in
+  let next r =
+    let i = !r in
+    incr r;
+    i
+  in
+  let entries =
     List.map
       (fun c ->
         match c.phase with
-        | Per_function { check_fn; finalize; _ } ->
-          `Pf (c.name, check_fn ~spec ~ctx, finalize, ref [])
-        | Whole_program g -> `Wp g)
-      all
+        | Per_function { finalize; _ } ->
+          ( c.name,
+            finalize (List.concat (List.rev per_function.(next k))) )
+        | Whole_program _ -> (c.name, whole_program.(next w)))
+      checkers
   in
-  let run_one name fn prep (f : Ast.func) =
-    if not guard then fn prep
-    else
-      try fn prep
-      with exn ->
-        fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-          (Printf.sprintf
-             "checker %s failed (%s); a degraded flow-insensitive pass \
-              was substituted"
-             name (Engine.describe_fault exn));
-        (try Engine.with_degraded (fun () -> fn prep) with _ -> [])
-  in
+  match faults with
+  | [] -> entries
+  | fs -> entries @ [ ("internal", Diag.normalize fs) ]
+
+let run_checkers ?guard ~scan checkers ~spec tus =
+  let st = stage checkers ~spec (make_ctx tus) in
+  let per_function = Array.make (Array.length st.fns) [] in
+  let faults = ref [] in
   List.iter
     (fun tu ->
       List.iter
         (fun f ->
-          match Prep.build f with
-          | exception exn when guard ->
-            fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-              (Printf.sprintf
-                 "function could not be prepared (%s); all checkers \
-                  skipped for this function"
-                 (Engine.describe_fault exn))
-          | prep ->
-            List.iter
-              (function
-                | `Pf (name, fn, _, acc) -> acc := run_one name fn prep f :: !acc
-                | `Wp _ -> ())
-              staged)
+          let slices, fs = check_function ?guard ~scan st f in
+          Array.iteri
+            (fun k s -> per_function.(k) <- s :: per_function.(k))
+            slices;
+          faults := List.rev_append fs !faults)
         (Ast.functions tu))
     tus;
-  let entries =
-    List.map2
-      (fun c st ->
-        match st with
-        | `Pf (_, _, finalize, acc) ->
-          (c.name, finalize (List.concat (List.rev !acc)))
-        | `Wp g ->
-          if not guard then (c.name, g ~spec tus)
-          else (
-            match g ~spec tus with
-            | slice -> (c.name, slice)
-            | exception exn ->
-              fault ~loc:Loc.none ~func:"<whole-program>"
-                (Printf.sprintf
-                   "whole-program checker %s failed (%s); a degraded \
-                    flow-insensitive pass was substituted"
-                   c.name (Engine.describe_fault exn));
-              ( c.name,
-                try Engine.with_degraded (fun () -> g ~spec tus)
-                with _ -> [] )))
-      all staged
+  let whole_program =
+    List.filter_map
+      (fun c ->
+        match c.phase with
+        | Per_function _ -> None
+        | Whole_program _ ->
+          let slice, fs = check_program ?guard ~spec tus c in
+          faults := List.rev_append fs !faults;
+          Some slice)
+      checkers
   in
-  match !faults with
-  | [] -> entries
-  | fs -> entries @ [ ("internal", Diag.normalize fs) ]
+  assemble checkers ~per_function
+    ~whole_program:(Array.of_list whole_program)
+    ~faults:!faults
 
-(* A per-function checker staged for the product driver. *)
-type staged_pf = {
-  s_name : string;
-  s_fn : Prep.t -> Diag.t list;
-  s_finalize : Diag.t list -> Diag.t list;
-  s_machine : Engine.pmachine option;
-  s_acc : Diag.t list list ref;
-}
+let run_all_fused ?guard ~spec tus =
+  run_checkers ?guard ~scan:false all ~spec tus
 
-(** [run_all_fused] with the per-checker traversals replaced by one
-    product-automaton walk per function.  The scan only detects: a
-    machine flagged dirty (it could emit on this function) re-runs
-    through its ordinary per-checker traversal, whose output — witnesses
-    included — is authoritative; a clean machine's result is [] by
-    construction.  Checkers without a machine (the pure AST walkers)
-    always run directly; they are linear single passes already.
-
-    Containment (budgets, degraded mode, fault injection) delegates to
-    [run_all_fused] wholesale so those paths keep their exact
-    per-checker semantics.  A scan that overflows ([Product_overflow])
-    or crashes falls back to re-running every machine on that function —
-    same output, no walk saved. *)
-let run_all_product ?(guard = true) ~spec (tus : Ast.tunit list) :
-    (string * Diag.t list) list =
-  if Engine.containment_active () then run_all_fused ~guard ~spec tus
-  else begin
-    let ctx = make_ctx tus in
-    let faults = ref [] in
-    let fault ~loc ~func msg =
-      faults :=
-        Diag.make ~severity:Diag.Warning ~checker:"internal" ~loc ~func msg
-        :: !faults
-    in
-    let staged =
-      List.map
-        (fun c ->
-          match c.phase with
-          | Per_function { check_fn; finalize; product } ->
-            `Pf
-              {
-                s_name = c.name;
-                s_fn = check_fn ~spec ~ctx;
-                s_finalize = finalize;
-                s_machine = product ~spec;
-                s_acc = ref [];
-              }
-          | Whole_program g -> `Wp g)
-        all
-    in
-    let pfs =
-      Array.of_list
-        (List.filter_map (function `Pf p -> Some p | `Wp _ -> None) staged)
-    in
-    (* the packed machines, in [pfs] order, skipping machine-less
-       checkers *)
-    let machines =
-      Array.of_list
-        (List.filter_map
-           (fun p -> p.s_machine)
-           (Array.to_list pfs))
-    in
-    let run_one name fn prep (f : Ast.func) =
-      if not guard then fn prep
-      else
-        try fn prep
-        with exn ->
-          fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-            (Printf.sprintf
-               "checker %s failed (%s); a degraded flow-insensitive pass \
-                was substituted"
-               name (Engine.describe_fault exn));
-          (try Engine.with_degraded (fun () -> fn prep) with _ -> [])
-    in
-    List.iter
-      (fun tu ->
-        List.iter
-          (fun f ->
-            match Prep.build f with
-            | exception exn when guard ->
-              fault ~loc:f.Ast.f_loc ~func:f.Ast.f_name
-                (Printf.sprintf
-                   "function could not be prepared (%s); all checkers \
-                    skipped for this function"
-                   (Engine.describe_fault exn))
-            | prep ->
-              let dirty =
-                if Array.length machines = 0 then [||]
-                else
-                  try Engine.product_scan prep machines
-                  with _ ->
-                    (* overflow or a machine crash: rerun everything;
-                       the guarded per-checker path reproduces (and
-                       contains) any crash *)
-                    Array.map (fun _ -> true) machines
-              in
-              let mi = ref 0 in
-              Array.iter
-                (fun p ->
-                  let rerun =
-                    match p.s_machine with
-                    | None -> true
-                    | Some _ ->
-                      let d = dirty.(!mi) in
-                      incr mi;
-                      d
-                  in
-                  if rerun then
-                    p.s_acc := run_one p.s_name p.s_fn prep f :: !(p.s_acc))
-                pfs)
-          (Ast.functions tu))
-      tus;
-    let entries =
-      List.map2
-        (fun c st ->
-          match st with
-          | `Pf p -> (c.name, p.s_finalize (List.concat (List.rev !(p.s_acc))))
-          | `Wp g ->
-            if not guard then (c.name, g ~spec tus)
-            else (
-              match g ~spec tus with
-              | slice -> (c.name, slice)
-              | exception exn ->
-                fault ~loc:Loc.none ~func:"<whole-program>"
-                  (Printf.sprintf
-                     "whole-program checker %s failed (%s); a degraded \
-                      flow-insensitive pass was substituted"
-                     c.name (Engine.describe_fault exn));
-                ( c.name,
-                  try Engine.with_degraded (fun () -> g ~spec tus)
-                  with _ -> [] )))
-        all staged
-    in
-    match !faults with
-    | [] -> entries
-    | fs -> entries @ [ ("internal", Diag.normalize fs) ]
-  end
+let run_all_product ?guard ~spec tus =
+  run_checkers ?guard ~scan:true all ~spec tus

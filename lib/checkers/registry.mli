@@ -67,37 +67,99 @@ val find : string -> checker option
 val names : string list
 val run_all : spec:Flash_api.spec -> Ast.tunit list -> (string * Diag.t list) list
 
+(** {2 Machine-backed checkers} *)
+
+val of_sm : 'state Sm.t -> checker
+(** lift one spec-independent machine into a per-function checker,
+    packed for the product scan with {!Engine.pack} *)
+
+val of_table : Engine.table -> checker
+(** {!of_sm} for a prebuilt table (a compiled metal extension), packed
+    with {!Engine.pack_table} *)
+
+(** {2 The checking kernel}
+
+    Every driver — the sequential ones below, the [Mcd] pool's units and
+    loaded metal extensions — checks a function through
+    {!check_function} and a whole-program checker through
+    {!check_program}, then puts the pieces together with {!assemble}.
+
+    A contained failure (an exception, an injected fault, an exhausted
+    budget) becomes a Warning-severity ["internal"] diagnostic returned
+    beside the slices, plus a degraded flow-insensitive retry of the
+    failed checker; a function whose {!Prep.t} cannot be built gets one
+    fault and empty slices.  On the clean path the barrier changes
+    nothing.  [guard] (default [true]) turns the barrier off, which only
+    the overhead benchmark does. *)
+
+type staged
+(** a checker list staged for one (spec, ctx): the per-function
+    closures and the packed product machines, built once.  Like the
+    closures inside it, a [staged] must not be shared across domains. *)
+
+val stage : checker list -> spec:Flash_api.spec -> ctx -> staged
+
+val check_function :
+  ?guard:bool ->
+  ?budget:Engine.budget ->
+  scan:bool ->
+  staged ->
+  Ast.func ->
+  Diag.t list array * Diag.t list
+(** check one function: its slice for each per-function checker (list
+    order) and the faults.  With [scan], one {!Engine.product_scan} walk
+    decides which machines re-run; clean machines' slices are [] by
+    construction.  The scan is skipped under a [budget] or when
+    {!Engine.containment_active}, and a scan that overflows or crashes
+    re-runs every checker, so the slices never depend on [scan]. *)
+
+val check_program :
+  ?guard:bool ->
+  ?budget:Engine.budget ->
+  spec:Flash_api.spec ->
+  Ast.tunit list ->
+  checker ->
+  Diag.t list * Diag.t list
+(** run one whole-program checker behind the barrier: its slice and
+    the faults.  @raise Invalid_argument on a per-function checker *)
+
+val assemble :
+  checker list ->
+  per_function:Diag.t list list array ->
+  whole_program:Diag.t list array ->
+  faults:Diag.t list ->
+  (string * Diag.t list) list
+(** the [(name, diags)] list in checker order: [per_function.(k)] holds
+    the k-th per-function checker's slices newest first (it is reversed,
+    concatenated and finalized), [whole_program.(w)] the w-th
+    whole-program checker's slice.  Non-empty [faults] append one
+    [("internal", _)] entry. *)
+
+val run_checkers :
+  ?guard:bool ->
+  scan:bool ->
+  checker list ->
+  spec:Flash_api.spec ->
+  Ast.tunit list ->
+  (string * Diag.t list) list
+(** the sequential driver: stage, check every function in source order,
+    run the whole-program checkers, assemble *)
+
 val run_all_fused :
   ?guard:bool ->
   spec:Flash_api.spec ->
   Ast.tunit list ->
   (string * Diag.t list) list
-(** [run_all] with each function's {!Prep.t} built exactly once and
-    shared across all per-function checkers; identical output, one CFG
-    construction per function instead of eight.
-
-    [guard] (default [true]) puts a fault barrier around each
-    (checker, function) pair: an exception becomes a Warning-severity
-    ["internal"] diagnostic plus a degraded flow-insensitive retry, and
-    a non-empty fault collection appends one [("internal", _)] entry to
-    the result list.  The clean path is unchanged either way;
-    [~guard:false] exists so the overhead benchmark can A/B the
-    barrier. *)
+(** [run_checkers ~scan:false all]: every checker re-runs on every
+    function over one shared {!Prep.t} — the per-checker yardstick the
+    engine bench and the oracles hold the product driver to.  Output is
+    exactly [run_all]'s. *)
 
 val run_all_product :
   ?guard:bool ->
   spec:Flash_api.spec ->
   Ast.tunit list ->
   (string * Diag.t list) list
-(** [run_all_fused] with the per-checker traversals replaced by one
-    {!Engine.product_scan} walk per function.  The scan detects which
-    machines could emit on the function; only those (plus the pure AST
-    walkers, which have no machine) re-run per checker, so output —
-    witnesses included — stays byte-identical to [run_all_fused] while a
-    clean function costs one walk instead of seven.
-
-    Delegates to [run_all_fused] outright whenever
-    {!Engine.containment_active}, so budgets, degraded mode, and fault
-    injection keep their exact per-checker semantics; a scan that
-    overflows or crashes falls back to the per-checker path for that
-    function. *)
+(** [run_checkers ~scan:true all]: the production sequential driver.
+    Output — witnesses included — is byte-identical to
+    [run_all_fused]. *)

@@ -17,8 +17,8 @@
     All per-function analysis the engine needs — the CFG and each node's
     flattened event array — comes from a {!Prep.t}, so a driver checking
     one function with several machines builds that work once and calls
-    {!check_prep} per machine ([Registry.run_all_fused] and the [Mcd]
-    function-batched units do exactly that).  {!check} remains the
+    {!check_prep} per machine (the [Registry] checking kernel, which
+    every driver calls, does exactly that).  {!check} remains the
     convenient entry point and builds a private prep per call.
 
     Rules are not scanned linearly per event: each state's rule list is
@@ -1115,11 +1115,3 @@ let check ?stats ?at_exit (sm : 'state Sm.t) (target : target) : Diag.t list
           (fun f -> check_func ?stats ?at_exit sm f)
           (Ast.functions tu))
       tus
-
-(* Deprecated aliases for the old three-entry-point API. *)
-
-let run ?stats ?at_exit sm func = check ?stats ?at_exit sm (`Func func)
-let run_unit ?stats ?at_exit sm tu = check ?stats ?at_exit sm (`Unit tu)
-
-let run_program ?stats ?at_exit sm tus =
-  check ?stats ?at_exit sm (`Program tus)

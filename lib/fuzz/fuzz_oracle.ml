@@ -12,9 +12,11 @@
       programs (so entries from *other* programs — and from the clean
       sibling of a mutant — must never leak in) all equal the sequential
       results;
-    + O4 [fused]: {!Registry.run_all_fused} — one shared {!Prep.t} per
-      function across all checkers — must equal the per-checker
-      sequential path;
+    + O4 [product]: {!Registry.run_all_product} — one product-automaton
+      walk per function, re-running only the machines it flags dirty —
+      must equal both {!Registry.run_all_fused} (every checker re-run
+      over one shared {!Prep.t}) and the per-checker sequential path,
+      so product ≡ fused ≡ per-checker;
     + O5 [roundtrip]: pretty-print, re-lex, re-parse, re-check: printing
       must reach a fixpoint, the AST must survive structurally, and the
       re-checked diagnostics must match modulo source locations. *)
@@ -54,6 +56,43 @@ let first_diff (a : string list) (b : string list) : string =
 
 let seq_check ~spec tus = Registry.run_all ~spec tus
 
+(* O4 on one program: product vs fused vs sequential.  [seq] is the
+   sequential rendering when the caller already has it. *)
+let product_diffs ?seq ~seed ~label ~spec tus : failure list =
+  let rp = render (Registry.run_all_product ~spec tus)
+  and rf = render (Registry.run_all_fused ~spec tus)
+  and rs =
+    match seq with Some rs -> rs | None -> render (seq_check ~spec tus)
+  in
+  let diff oracle a b =
+    if a <> b then
+      Some
+        { f_seed = seed; f_oracle = oracle; f_detail = label ^ first_diff a b }
+    else None
+  in
+  List.filter_map Fun.id
+    [ diff "product-fused" rp rf; diff "product-seq" rp rs ]
+
+(** O4's fixed-input pass: every corpus protocol plus both golden
+    variants, reported under seed 0 — run once per fuzz session *)
+let product_sweep () : failure list =
+  let corpus_fs =
+    List.concat_map
+      (fun (p : Corpus.protocol) ->
+        product_diffs ~seed:0
+          ~label:("corpus " ^ p.Corpus.name ^ ": ")
+          ~spec:p.Corpus.spec p.Corpus.tus)
+      (Corpus.generate ()).Corpus.protocols
+  in
+  let golden_fs =
+    List.concat_map
+      (fun (v, lbl) ->
+        product_diffs ~seed:0 ~label:(lbl ^ ": ") ~spec:Golden.spec
+          (Golden.program v))
+      [ (Golden.Clean, "golden-clean"); (Golden.Buggy, "golden-buggy") ]
+  in
+  corpus_fs @ golden_fs
+
 (** [check ?shared_cache ~seed ~spec ~tus ()] runs all five oracles and
     returns the disagreements (empty = all pipelines agree).  Also
     returns the sequential results so callers can reuse them. *)
@@ -82,8 +121,11 @@ let check ?shared_cache ~seed ~(spec : Flash_api.spec) ~(tus : Ast.tunit list)
     compare_mcd "cache-shared"
       (fst (Mcd.check_corpus ~cache ~jobs:2 ~spec tus))
   | None -> ());
-  (* O4: the fused single-prep driver must equal the per-checker path *)
-  compare_mcd "fused" (Registry.run_all_fused ~spec tus);
+  (* O4: product ≡ fused ≡ per-checker *)
+  failures :=
+    List.rev_append
+      (product_diffs ~seq:seq_r ~seed ~label:"" ~spec tus)
+      !failures;
   (* O5: print -> re-lex -> re-parse -> re-check *)
   let printed = List.map Pp.tunit_to_string tus in
   (match

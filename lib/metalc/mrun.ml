@@ -1,27 +1,18 @@
-(** Running metal checkers: compiled tables or the interpreter.
+(** Running compiled metal checkers.
 
-    A {!t} is a loaded metal checker in either back end.  [Compiled]
-    carries the codegen tables lowered onto an {!Engine.table} — an
-    [int Sm.t] whose per-state rule lists are precomputed arrays of
-    single-branch rules and whose root-dispatch index is prebuilt once
-    per machine ({!Engine.prebuild}) instead of once per checked
-    function.  Both back ends run the same engine traversal over the
-    same {!Prep.t} events with the same action semantics
-    ([Sm.err ~checker:name] then the outcome, exactly
-    {!Mdsl.to_sm}'s), and compiled state ids render back to their metal
-    names, so diagnostics — messages, locations, witnesses — are
-    byte-identical; the seventh Mcfuzz oracle holds the two to that. *)
+    A {!t} is a loaded metal checker: the codegen tables lowered onto an
+    {!Engine.table} — an [int Sm.t] whose per-state rule lists are
+    precomputed arrays of single-branch rules and whose root-dispatch
+    index is prebuilt once per machine ({!Engine.prebuild}) instead of
+    once per checked function.  Actions have {!Mdsl.to_sm}'s semantics
+    ([Sm.err ~checker:name] then the outcome) and compiled state ids
+    render back to their metal names, so diagnostics — messages,
+    locations, witnesses — are byte-identical to the {!Mdsl}
+    interpreter's; the seventh Mcfuzz oracle holds the two to that.
+    [Registry.of_table] lifts a loaded spec into a registry checker, so
+    it runs through the same kernel as the built-in checkers. *)
 
-type compiled = { c_gen : Mcodegen.t; c_table : Engine.table }
-
-type t = Interp of string Sm.t | Compiled of compiled
-
-(** which back end {!load} builds *)
-type mode = Mode_compiled | Mode_interp
-
-let name = function
-  | Interp sm -> sm.Sm.name
-  | Compiled c -> c.c_gen.Mcodegen.g_name
+type t = Engine.table
 
 (* ------------------------------------------------------------------ *)
 (* Lowering tables onto the engine                                     *)
@@ -57,14 +48,7 @@ let sm_of_tables (g : Mcodegen.t) : int Sm.t =
     ()
 
 let of_tables (g : Mcodegen.t) : t =
-  Compiled
-    {
-      c_gen = g;
-      c_table =
-        Engine.prebuild
-          ~n_states:(Array.length g.Mcodegen.g_states)
-          (sm_of_tables g);
-    }
+  Engine.prebuild ~n_states:(Array.length g.Mcodegen.g_states) (sm_of_tables g)
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)
@@ -79,69 +63,11 @@ let compile ?file (src : string) : (t, Mir.error list) result =
     | Error es -> Error es
     | Ok ir -> Ok (of_tables (Mcodegen.of_ir ir)))
 
-let interp ?file (src : string) : (t, Mir.error list) result =
-  match Mdsl.load ?file src with
-  | sm -> Ok (Interp sm)
-  | exception Mdsl.Parse_error (e_msg, e_loc) ->
-    Error [ { Mir.e_class = "parse error"; e_msg; e_loc } ]
-
-let load ~mode ?file (src : string) : (t, Mir.error list) result =
-  match mode with
-  | Mode_compiled -> compile ?file src
-  | Mode_interp -> interp ?file src
-
-let load_file ~mode (path : string) : (t, Mir.error list) result =
+let load_file (path : string) : (t, Mir.error list) result =
   let ic = open_in_bin path in
   let src =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  load ~mode ~file:path src
-
-(* ------------------------------------------------------------------ *)
-(* Checking                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let check_prep (t : t) (prep : Prep.t) : Diag.t list =
-  match t with
-  | Interp sm -> Engine.check_prep sm prep
-  | Compiled c -> Engine.check_prep_table c.c_table prep
-
-let check (t : t) (target : Engine.target) : Diag.t list =
-  match t with
-  | Interp sm -> Engine.check sm target
-  | Compiled _ -> (
-    let check_func f = check_prep t (Prep.build f) in
-    match target with
-    | `Func f -> check_func f
-    | `Unit tu -> List.concat_map check_func (Ast.functions tu)
-    | `Program tus ->
-      List.concat_map
-        (fun tu -> List.concat_map check_func (Ast.functions tu))
-        tus)
-
-(** Run several machines over a program, building one {!Prep.t} per
-    function and sharing it across all of them — the metal analogue of
-    [Registry.run_all_fused].  Results are per machine in input order,
-    each identical to what [check m (`Program tus)] would return (the
-    engine normalizes per function, so sharing preps cannot change the
-    output). *)
-let check_program_fused (ms : t list) (tus : Ast.tunit list) :
-    Diag.t list list =
-  match ms with
-  | [] -> []
-  | _ ->
-    let n = List.length ms in
-    let accs = Array.make n [] in
-    List.iter
-      (fun tu ->
-        List.iter
-          (fun f ->
-            let prep = Prep.build f in
-            List.iteri
-              (fun i m -> accs.(i) <- check_prep m prep :: accs.(i))
-              ms)
-          (Ast.functions tu))
-      tus;
-    Array.to_list (Array.map (fun l -> List.concat (List.rev l)) accs)
+  compile ~file:path src

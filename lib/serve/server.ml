@@ -743,6 +743,32 @@ let handle_conn t fd =
           Condition.broadcast t.cond))
     loop
 
+(* A connection accepted mid-drain still has its one request read: a
+   check is refused through [run_check]'s admission, which writes the
+   refused access-log line, anything else gets the connection refusal.
+   The caller counts it in [conns], so the drain waits for the refusal
+   to finish; the short receive timeout bounds that wait on a silent
+   peer. *)
+let refuse_conn t fd =
+  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 1.0 with _ -> ());
+  let refuse () = send fd (Proto.R_error "draining: connection refused") in
+  (try
+     match Proto.read_frame fd with
+     | Ok payload -> (
+       match Proto.decode_request payload with
+       | Ok ((Proto.Check_files _ | Proto.Check_buffer _) as req) ->
+         handle_request t fd ~peer:(peer_string fd)
+           ~bytes_in:(Proto.header_len + String.length payload)
+           req
+       | _ -> refuse ())
+     | Error _ -> refuse ()
+   with _ -> ());
+  (try Unix.close fd with _ -> ());
+  locked t.mu (fun () ->
+      t.conns <- t.conns - 1;
+      Mctel.Metrics.set m_conns t.conns;
+      Condition.broadcast t.cond)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics exposition                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -856,17 +882,15 @@ let run t =
               ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
           ()
         | fd, _ ->
-          if locked t.mu (fun () -> t.is_draining) then (
-            (* refuse politely rather than leaving the peer hanging *)
-            (try send fd (Proto.R_error "draining: connection refused")
-             with _ -> ());
-            try Unix.close fd with _ -> ())
-          else begin
+          let draining =
             locked t.mu (fun () ->
                 t.conns <- t.conns + 1;
-                Mctel.Metrics.set m_conns t.conns);
-            ignore (Thread.create (fun () -> handle_conn t fd) ())
-          end)
+                Mctel.Metrics.set m_conns t.conns;
+                t.is_draining)
+          in
+          (* refuse politely rather than leaving the peer hanging *)
+          let serve = if draining then refuse_conn else handle_conn in
+          ignore (Thread.create (fun () -> serve t fd) ()))
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       loop ()
     end

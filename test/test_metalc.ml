@@ -29,20 +29,26 @@ let ir_of src =
 
 let gen_of src = Mcodegen.of_ir (ir_of src)
 
-let load_exn mode src =
-  match Mrun.load ~mode src with
+let compile_exn src =
+  match Mrun.compile src with
   | Ok m -> m
   | Error es ->
     Alcotest.failf "load failed: %s"
       (String.concat "; " (List.map Mir.render_error es))
 
+(* the interpreter reference (product scan off) and the compiled spec
+   the way [mcheck --metal] runs it (scan on), each lifted into a
+   registry checker and run through the checking kernel *)
 let run_both metal_src c_src =
   let tus = Frontend.of_strings [ ("t.c", Prelude.text ^ c_src) ] in
-  let run mode =
-    List.map Diag.to_string
-      (Mrun.check (load_exn mode metal_src) (`Program tus))
+  let run ~scan c =
+    List.concat_map
+      (fun (_, ds) -> List.map Diag.to_string ds)
+      (Registry.run_checkers ~scan [ c ]
+         ~spec:(Mcheck_api.default_spec tus) tus)
   in
-  (run Mrun.Mode_interp, run Mrun.Mode_compiled)
+  ( run ~scan:false (Registry.of_sm (Mdsl.load metal_src)),
+    run ~scan:true (Registry.of_table (compile_exn metal_src)) )
 
 (* ------------------------------------------------------------------ *)
 (* Surface -> IR                                                       *)

@@ -54,7 +54,7 @@ let product_tests =
   [
     t "product walk is identical on the corpus and golden protocols"
       `Quick (fun () ->
-        match Fuzz_product.sweep () with
+        match Fuzz_oracle.product_sweep () with
         | [] -> ()
         | fs ->
           Alcotest.failf "product sweep: %d disagreement(s), first: %s"

@@ -245,10 +245,15 @@ let test_mcd_fault_isolated () =
   let tus, _ = parse_sources [ ("f.c", clean ^ leaky) ] in
   let spec = spec_for tus in
   let baseline, _ = Mcd.check_corpus ~jobs:1 ~spec tus in
-  let results, stats =
+  let results, stats, product =
     with_fault ~checker:"buffer_mgmt" ~func:"tidy" (fun () ->
-        Mcd.check_corpus ~jobs:2 ~spec tus)
+        let results, stats = Mcd.check_corpus ~jobs:2 ~spec tus in
+        (results, stats, Registry.run_all_product ~spec tus))
   in
+  (* one kernel behind both drivers: the faulted run, "internal" entry
+     included, renders identically in order and content *)
+  Alcotest.(check (list string)) "product driver = mcd on the faulted run"
+    (Fuzz_oracle.render product) (Fuzz_oracle.render results);
   Alcotest.(check bool) "unit reported faulted" true
     (stats.Mcd.units_faulted > 0);
   Alcotest.(check bool) "internal entry present" true
