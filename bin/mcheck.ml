@@ -31,7 +31,7 @@
     the (location, event, state transition) steps that drove the checker
     to the report; [--trace FILE.json] records the whole pipeline
     (cfront, engine, mcd, cache, sim) as a Chrome trace; [--metrics]
-    dumps the merged counter/histogram registry; [--quiet]/[-v] set the
+    dumps the metrics registry and a span summary; [--quiet]/[-v] set the
     verbosity of the [Mcobs] log sink that all status lines route
     through. *)
 
@@ -299,15 +299,19 @@ let main checker_names files table list_flag seed verbose metal_paths
     | code -> code
     | exception Mcheck_api.Robust_exit outcome -> Robust.exit_code outcome
   in
-  (* exporters run after the work so the snapshot covers everything,
-     and before the exit so a violation run still writes the trace *)
+  (* exporters run after the work so the snapshots cover everything,
+     and before the exit so a violation run still writes the trace; the
+     trace's counter track and the --metrics dump read one registry
+     snapshot *)
+  let registry = Mcmetrics.snapshot () and spans = Mcobs.snapshot () in
   (match trace_file with
   | Some path ->
-    Mcobs.export_chrome_file path (Mcobs.snapshot ());
+    Mcobs.export_chrome_file ~counters:(Mcmetrics.counters registry) path
+      spans;
     Mcobs.logf Mcobs.Normal "wrote Chrome trace to %s" path
   | None -> ());
   if metrics then
-    Format.eprintf "%a@." Mcobs.pp_summary (Mcobs.snapshot ());
+    Format.eprintf "%a@.%a@." Mcmetrics.pp registry Mcobs.pp_summary spans;
   code
 
 let checker_arg =
@@ -408,8 +412,8 @@ let metrics_arg =
   Arg.(
     value & flag
     & info [ "metrics" ]
-        ~doc:"Dump the merged Mcobs counter/histogram/span registry \
-              after the run.")
+        ~doc:"Dump the metrics registry (counters, gauges, histograms) \
+              and a per-span-name timing summary after the run.")
 
 let strict_arg =
   Arg.(

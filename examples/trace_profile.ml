@@ -31,10 +31,11 @@ let () =
   Printf.printf "checked %d protocol(s): %d diagnostic(s)\n"
     (List.length results) diags;
   Format.printf "%a@." Mcd.pp_stats_line stats;
-  let snap = Mcobs.snapshot () in
-  Mcobs.export_chrome_file "trace_profile.json" snap;
+  let snap = Mcobs.snapshot () and registry = Mcmetrics.snapshot () in
+  Mcobs.export_chrome_file ~counters:(Mcmetrics.counters registry)
+    "trace_profile.json" snap;
   Printf.printf "wrote trace_profile.json (%d spans) — open it in \
                  chrome://tracing\n"
     (List.length snap.Mcobs.spans);
   (* the same data, summarised for the terminal *)
-  Format.printf "%a@." Mcobs.pp_summary snap
+  Format.printf "%a@.%a@." Mcmetrics.pp registry Mcobs.pp_summary snap

@@ -172,18 +172,6 @@ let write_file path contents =
 (* ------------------------------------------------------------------ *)
 
 module Session = struct
-  type stats = {
-    requests : int;
-    files_checked : int;
-    diags_emitted : int;
-    findings : int;
-    units_run : int;
-    cache_hits : int;
-    cache_entries : int;
-    check_wall_ms : float;
-    uptime_s : float;
-  }
-
   type t = {
     cfg : config;
     cache : Mcd_cache.t option;
@@ -192,16 +180,37 @@ module Session = struct
        the unit-level Mcd cache below it handles partial edits.  Sound
        because the pipeline is deterministic in (sources, selection). *)
     memo : (string, report) Hashtbl.t option;
-    created_at : float;
     mutable closed : bool;
-    mutable requests : int;
-    mutable files_checked : int;
-    mutable diags_emitted : int;
-    mutable findings : int;
-    mutable units_run : int;
-    mutable cache_hits : int;
-    mutable check_wall_ms : float;
   }
+
+  let m_requests =
+    Mcmetrics.counter ~help:"session check_* calls"
+      "mcheck_session_requests_total"
+
+  let m_files =
+    Mcmetrics.counter ~help:"source files checked" "mcheck_files_checked_total"
+
+  let m_diags =
+    Mcmetrics.counter ~help:"diagnostics reported, internal ones included"
+      "mcheck_diags_total"
+
+  let m_findings =
+    Mcmetrics.counter ~help:"non-internal findings reported"
+      "mcheck_findings_total"
+
+  let m_check_ms =
+    Mcmetrics.hist ~help:"wall time inside check_* calls, ms" "mcheck_check_ms"
+
+  let m_memo_probes =
+    Mcmetrics.counter ~help:"whole-request memo probes"
+      "mcheck_memo_probes_total"
+
+  let m_memo_hits =
+    Mcmetrics.counter ~help:"whole-request memo hits" "mcheck_memo_hits_total"
+
+  let m_cache_entries =
+    Mcmetrics.gauge ~help:"warm Mcd cache entries after the last check"
+      "mcheck_unit_cache_entries"
 
   let create ?(config = default_config) () =
     let cache =
@@ -224,15 +233,7 @@ module Session = struct
       cfg = config;
       cache;
       memo = (if config.incremental then Some (Hashtbl.create 64) else None);
-      created_at = Unix.gettimeofday ();
       closed = false;
-      requests = 0;
-      files_checked = 0;
-      diags_emitted = 0;
-      findings = 0;
-      units_run = 0;
-      cache_hits = 0;
-      check_wall_ms = 0.;
     }
 
   let use_mcd t = t.cfg.jobs > 1 || t.cfg.incremental
@@ -260,51 +261,6 @@ module Session = struct
   let report_sched_stats stats =
     Mcobs.logf Mcobs.Normal "%a" Mcd.pp_stats_line stats;
     Mcobs.logf Mcobs.Verbose "scheduler: %a" Mcd.pp_stats stats
-
-  (* session-level live metrics: cumulative across every session in
-     the process (the daemon swaps sessions on reload; the series must
-     not reset with them) *)
-  let m_requests =
-    Mctel.Metrics.counter ~help:"session check_* calls"
-      "mcheck_session_requests_total"
-
-  let m_findings =
-    Mctel.Metrics.counter ~help:"non-internal findings reported"
-      "mcheck_findings_total"
-
-  let m_check_ms =
-    Mctel.Metrics.hist ~help:"wall time inside check_* calls, ms"
-      "mcheck_check_ms"
-
-  let m_unit_probes =
-    Mctel.Metrics.counter ~help:"Mcd unit cache probes"
-      "mcheck_unit_cache_probes_total"
-
-  let m_unit_hits =
-    Mctel.Metrics.counter ~help:"Mcd unit cache hits"
-      "mcheck_unit_cache_hits_total"
-
-  let m_units_run =
-    Mctel.Metrics.counter ~help:"Mcd units executed (cache misses)"
-      "mcheck_units_run_total"
-
-  let m_units_faulted =
-    Mctel.Metrics.counter ~help:"units ended by the per-unit fault barrier"
-      "mcheck_units_faulted_total"
-
-  let m_memo_probes =
-    Mctel.Metrics.counter ~help:"whole-request memo probes"
-      "mcheck_memo_probes_total"
-
-  let m_memo_hits =
-    Mctel.Metrics.counter ~help:"whole-request memo hits"
-      "mcheck_memo_hits_total"
-
-  let observe_sched (stats : Mcd.stats) =
-    Mctel.Metrics.inc ~by:stats.Mcd.units_total m_unit_probes;
-    Mctel.Metrics.inc ~by:stats.Mcd.cache_hits m_unit_hits;
-    Mctel.Metrics.inc ~by:stats.Mcd.units_run m_units_run;
-    Mctel.Metrics.inc ~by:stats.Mcd.units_faulted m_units_faulted
 
   (* a loaded metal spec run reports every spec's findings as one
      ["metal"] entry, machine-major; the kernel's ["internal"] entry
@@ -346,9 +302,6 @@ module Session = struct
           jobs
       in
       report_sched_stats stats;
-      t.units_run <- t.units_run + stats.Mcd.units_run;
-      t.cache_hits <- t.cache_hits + stats.Mcd.cache_hits;
-      observe_sched stats;
       ( List.map select results,
         Some stats,
         stats.Mcd.units_faulted > 0 || stats.Mcd.workers_crashed > 0 )
@@ -363,14 +316,14 @@ module Session = struct
       (List.map select results, None, faulted results)
 
   let record t report ~files ~wall_ms =
-    t.requests <- t.requests + 1;
-    t.files_checked <- t.files_checked + files;
-    t.diags_emitted <- t.diags_emitted + List.length (report_diags report);
-    t.findings <- t.findings + report.r_findings;
-    t.check_wall_ms <- t.check_wall_ms +. wall_ms;
-    Mctel.Metrics.inc m_requests;
-    Mctel.Metrics.inc ~by:report.r_findings m_findings;
-    Mctel.Metrics.observe m_check_ms wall_ms
+    Mcmetrics.inc m_requests;
+    Mcmetrics.inc ~by:files m_files;
+    Mcmetrics.inc ~by:(List.length (report_diags report)) m_diags;
+    Mcmetrics.inc ~by:report.r_findings m_findings;
+    Mcmetrics.observe m_check_ms wall_ms;
+    Option.iter
+      (fun c -> Mcmetrics.set m_cache_entries (Mcd_cache.size c))
+      t.cache
 
   (* everything the report depends on, digested *)
   let memo_key ~names srcs ~skipped ~had_input =
@@ -442,12 +395,12 @@ module Session = struct
       | Some _ -> Some (memo_key ~names srcs ~skipped ~had_input)
       | None -> None
     in
-    if key <> None then Mctel.Metrics.inc m_memo_probes;
+    if key <> None then Mcmetrics.inc m_memo_probes;
     match memo_find t key with
     | Some report ->
-      Mcobs.count "api.memo.hit";
-      Mctel.Metrics.inc m_memo_hits;
-      t.cache_hits <- t.cache_hits + 1;
+      Mcmetrics.inc m_memo_hits;
+      (* answered without scheduling: no unit ran, none hit the cache *)
+      let report = { report with r_sched = None } in
       record t report ~files:(List.length srcs) ~wall_ms:0.;
       report
     | None ->
@@ -513,27 +466,6 @@ module Session = struct
     Mcobs.with_span "api.check_jobs" (fun () ->
         check_parsed t ~names:t.cfg.checkers jobs)
 
-  let stats t =
-    {
-      requests = t.requests;
-      files_checked = t.files_checked;
-      diags_emitted = t.diags_emitted;
-      findings = t.findings;
-      units_run = t.units_run;
-      cache_hits = t.cache_hits;
-      cache_entries =
-        (match t.cache with Some c -> Mcd_cache.size c | None -> 0);
-      check_wall_ms = t.check_wall_ms;
-      uptime_s = Unix.gettimeofday () -. t.created_at;
-    }
-
-  let pp_stats ppf (s : stats) =
-    Format.fprintf ppf
-      "requests %d, files %d, diags %d, findings %d, units run %d, cache \
-       hits %d, cache entries %d, check wall %.1f ms, uptime %.1f s"
-      s.requests s.files_checked s.diags_emitted s.findings s.units_run
-      s.cache_hits s.cache_entries s.check_wall_ms s.uptime_s
-
   (* share this session's warm results with concurrent writers; safe
      to call any time — failures are counted, never raised (a worker
      must not die because the cache directory got hostile) *)
@@ -543,7 +475,6 @@ module Session = struct
       match Mcd_cache.publish_dir cache dir with
       | Ok _ -> ()
       | Error msg ->
-        Mcobs.count "mcd.cache.publish.failed";
         Mcobs.logf Mcobs.Verbose "cache publish: %s\n" msg)
     | _ -> ()
 

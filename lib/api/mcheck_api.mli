@@ -2,8 +2,8 @@
     pipeline.
 
     One {!Session.t} wraps frontend → {!Prep} → {!Registry}/{!Mcd} →
-    {!Robust} exit policy behind four calls ([create] / [check_*] /
-    [stats] / [close]), and is the single entry point every driver —
+    {!Robust} exit policy behind three calls ([create] / [check_*] /
+    [close]), and is the single entry point every driver —
     [bin/mcheck], [bin/mcheckd], the serve bench — goes through.  A
     session owns the warm state that makes repeated checks cheap: the
     content-hash {!Mcd_cache} survives across [check_*] calls, so a
@@ -88,20 +88,16 @@ val print_report : render_opts -> report -> unit
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(** A session keeps no tallies of its own: every [check_*] call counts
+    into the {!Mcmetrics} registry — [mcheck_session_requests_total],
+    [mcheck_files_checked_total], [mcheck_diags_total],
+    [mcheck_findings_total], the [mcheck_check_ms] histogram, the
+    whole-request memo's [mcheck_memo_probes_total] and
+    [mcheck_memo_hits_total], and the [mcheck_unit_cache_entries] gauge
+    (warm-cache size after the call).  The series are cumulative across
+    every session in the process. *)
 module Session : sig
   type t
-
-  type stats = {
-    requests : int;  (** [check_*] calls served *)
-    files_checked : int;
-    diags_emitted : int;
-    findings : int;
-    units_run : int;  (** Mcd units executed (cache misses) *)
-    cache_hits : int;
-    cache_entries : int;  (** current warm-cache size *)
-    check_wall_ms : float;  (** time spent inside [check_*] *)
-    uptime_s : float;
-  }
 
   val create : ?config:config -> unit -> t
 
@@ -136,9 +132,6 @@ module Session : sig
       job list, exactly like [mcheck] with no file arguments; the
       per-job result lists keep checker grouping for per-protocol
       printing, the report aggregates *)
-
-  val stats : t -> stats
-  val pp_stats : Format.formatter -> stats -> unit
 
   val publish_cache : t -> unit
   (** publish the warm cache as a content-addressed segment in

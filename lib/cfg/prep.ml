@@ -112,6 +112,10 @@ let empty_events : Ast.expr array = [||]
    domains.  A shared old block makes the allocation GC-silent. *)
 let arena_init : Ast.expr = Ast.int_lit 0
 
+let m_builds =
+  Mcmetrics.counter ~help:"Prep.t builds (one per checked function)"
+    "mcheck_prep_builds_total"
+
 let build (func : Ast.func) : t =
   let cfg = Cfg.build func in
   let n = Array.length cfg.Cfg.nodes in
@@ -167,7 +171,7 @@ let build (func : Ast.func) : t =
           incr k)
         evs)
     cfg.Cfg.nodes;
-  Mcobs.count "prep.build";
+  Mcmetrics.inc m_builds;
   {
     func;
     cfg;

@@ -8,8 +8,9 @@
     sequential driver all share one [t] per function instead of each
     rebuilding the CFG and re-deriving the event lists.
 
-    Every [build] bumps the [prep.build] Mcobs counter, which is how the
-    test suite pins "built exactly once per function per run" down. *)
+    Every [build] bumps the [mcheck_prep_builds_total] registry counter,
+    which is how the test suite pins "built exactly once per function
+    per run" down. *)
 
 (** Structure-of-arrays view of the observing event stream: all events
     of all nodes concatenated in node order into parallel int arrays,

@@ -217,10 +217,14 @@ let stage checkers ~spec ctx =
     machine_of = Array.of_list (List.map fst packed);
   }
 
+let m_checker_faults =
+  Mcmetrics.counter ~help:"checker runs ended by the fault barrier"
+    "mcheck_checker_faults_total"
+
 let fault ~loc ~func fmt =
   Printf.ksprintf
     (fun msg ->
-      Mcobs.count "registry.checker_faults";
+      Mcmetrics.inc m_checker_faults;
       Diag.make ~severity:Diag.Warning ~checker:"internal" ~loc ~func msg)
     fmt
 

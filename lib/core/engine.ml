@@ -29,30 +29,43 @@
 
     Witness steps are recorded as raw (location, expression, state)
     tuples and only rendered to strings when a diagnostic is actually
-    emitted, so a match on a clean path costs no pretty-printing.
+    emitted, so a match on a clean path costs no pretty-printing. *)
 
-    Statistics are immutable snapshots accumulated into a caller-supplied
-    [stats ref]: the engine itself only touches domain-local counters, so
-    concurrent checks from several domains are race-free as long as each
-    domain passes its own ref (merge the per-domain records with
-    {!stats_add} at join — that is what [Mcd] does). *)
+let m_budget_exhausted =
+  Mcmetrics.counter ~help:"unit budgets that ran out"
+    "mcheck_engine_budget_exhausted_total"
 
-type stats = {
-  nodes_visited : int;
-  events_matched : int;
-  paths_stopped : int;
-}
+let m_nodes_visited =
+  Mcmetrics.counter ~help:"(node, state) pairs the path-sensitive walk visited"
+    "mcheck_engine_nodes_visited_total"
 
-let stats_zero = { nodes_visited = 0; events_matched = 0; paths_stopped = 0 }
+let m_events_matched =
+  Mcmetrics.counter ~help:"events a rule fired on in the path-sensitive walk"
+    "mcheck_engine_events_matched_total"
 
-let stats_add a b =
-  {
-    nodes_visited = a.nodes_visited + b.nodes_visited;
-    events_matched = a.events_matched + b.events_matched;
-    paths_stopped = a.paths_stopped + b.paths_stopped;
-  }
+let m_paths_stopped =
+  Mcmetrics.counter ~help:"paths a rule stopped"
+    "mcheck_engine_paths_stopped_total"
 
-let fresh_stats () = ref stats_zero
+let m_exit_states =
+  Mcmetrics.counter ~help:"distinct states reaching a function exit"
+    "mcheck_engine_exit_states_total"
+
+let m_degraded_runs =
+  Mcmetrics.counter ~help:"flow-insensitive (degraded) machine runs"
+    "mcheck_engine_degraded_runs_total"
+
+let m_product_scans =
+  Mcmetrics.counter ~help:"product-automaton walks, one per function"
+    "mcheck_product_scans_total"
+
+let m_product_nodes =
+  Mcmetrics.counter ~help:"(node, state vector) pairs the product walk visited"
+    "mcheck_product_nodes_visited_total"
+
+let m_pack_fallbacks =
+  Mcmetrics.counter ~help:"product walks that fell back to unpacked keys"
+    "mcheck_product_pack_fallbacks_total"
 
 (* Sub-expressions in evaluation (post-) order — now owned by [Prep],
    re-exported here because the engine is where callers historically
@@ -155,11 +168,11 @@ let describe_fault = function
 let consume_fuel (lim : limiter) =
   lim.fuel_left <- lim.fuel_left - 1;
   if lim.fuel_left <= 0 then begin
-    Mcobs.count "engine.budget_exhausted";
+    Mcmetrics.inc m_budget_exhausted;
     raise (Budget_exhausted "step fuel exhausted")
   end;
   if lim.fuel_left land 255 = 0 && Mcobs.now_us () > lim.deadline_us then begin
-    Mcobs.count "engine.budget_exhausted";
+    Mcmetrics.inc m_budget_exhausted;
     raise (Budget_exhausted "unit deadline exceeded")
   end
 
@@ -282,8 +295,8 @@ let render_steps (state_str : 'state -> string)
 
 (* Run one state machine over one prepared function.  [at_exit] is
    invoked once per distinct state in which a path reaches the function
-   exit.  All counters are local; the optional [stats] ref is touched
-   exactly once, at the end. *)
+   exit.  All counters are local; the registry is touched exactly once,
+   at the end. *)
 (* Default per-state dispatch: compiled on first encounter into a cache
    private to this call — this also hoists the [rules state @ all]
    allocation out of the event loop.  Compiled tables (see {!prebuild})
@@ -301,8 +314,7 @@ let cached_dispatch_for (sm : 'state Sm.t) : 'state -> 'state dispatch =
       Hashtbl.add dispatch_cache state d;
       d
 
-let check_prep_full ?(stats : stats ref option)
-    ?(at_exit : 'state exit_hook option)
+let check_prep_full ?(at_exit : 'state exit_hook option)
     ?(dispatch_for : ('state -> 'state dispatch) option) (sm : 'state Sm.t)
     (prep : Prep.t) : Diag.t list =
   let func = prep.Prep.func in
@@ -458,20 +470,10 @@ let check_prep_full ?(stats : stats ref option)
     in
     let traverse () =
       visit cfg.Cfg.entry start_state (dispatch_for start_state) [] [];
-      (match stats with
-      | Some r ->
-        r :=
-          stats_add !r
-            {
-              nodes_visited = !nodes_visited;
-              events_matched = !events_matched;
-              paths_stopped = !paths_stopped;
-            }
-      | None -> ());
-      Mcobs.count ~by:!nodes_visited "engine.nodes_visited";
-      Mcobs.count ~by:!events_matched "engine.events_matched";
-      Mcobs.count ~by:!paths_stopped "engine.paths_stopped";
-      Mcobs.count ~by:(Hashtbl.length exit_states) "engine.exit_states";
+      Mcmetrics.inc ~by:!nodes_visited m_nodes_visited;
+      Mcmetrics.inc ~by:!events_matched m_events_matched;
+      Mcmetrics.inc ~by:!paths_stopped m_paths_stopped;
+      Mcmetrics.inc ~by:(Hashtbl.length exit_states) m_exit_states;
       Diag.normalize !diags
     in
     if Mcobs.enabled () then
@@ -496,8 +498,7 @@ let check_prep_full ?(stats : stats ref option)
    fallback when the path-sensitive traversal crashed or blew its
    budget.  Diagnostics it emits are real (every event it matches is in
    the function), it can only miss path-dependent ones. *)
-let check_prep_flat ?(stats : stats ref option)
-    ?(at_exit : 'state exit_hook option)
+let check_prep_flat ?(at_exit : 'state exit_hook option)
     ?(dispatch_for : ('state -> 'state dispatch) option) (sm : 'state Sm.t)
     (prep : Prep.t) : Diag.t list =
   let func = prep.Prep.func in
@@ -508,9 +509,6 @@ let check_prep_flat ?(stats : stats ref option)
     let events =
       Prep.events prep ~observe_branches:sm.Sm.observe_branches
     in
-    let nodes_visited = ref 0 in
-    let events_matched = ref 0 in
-    let paths_stopped = ref 0 in
     let diags = ref [] in
     let emit d = diags := d :: !diags in
     let state_str = sm.Sm.state_to_string in
@@ -526,7 +524,6 @@ let check_prep_flat ?(stats : stats ref option)
     let n_nodes = Array.length cfg.Cfg.nodes in
     (try
        for id = 0 to n_nodes - 1 do
-         incr nodes_visited;
          let evs = events.(id) in
          for i = 0 to Array.length evs - 1 do
            let event = evs.(i) in
@@ -541,7 +538,6 @@ let check_prep_flat ?(stats : stats ref option)
            match fired with
            | None -> ()
            | Some (r, bindings) ->
-             incr events_matched;
              let pending = ref [] in
              let ctx =
                {
@@ -577,7 +573,6 @@ let check_prep_flat ?(stats : stats ref option)
                state := next;
                disp := dispatch_for next
              | Sm.Stop ->
-               incr paths_stopped;
                stopped := true;
                raise Exit)
          done
@@ -604,28 +599,17 @@ let check_prep_flat ?(stats : stats ref option)
          in
          hook ctx !state
        | None -> ());
-    (match stats with
-    | Some r ->
-      r :=
-        stats_add !r
-          {
-            nodes_visited = !nodes_visited;
-            events_matched = !events_matched;
-            paths_stopped = !paths_stopped;
-          }
-    | None -> ());
-    Mcobs.count "engine.degraded_runs";
+    Mcmetrics.inc m_degraded_runs;
     Diag.normalize !diags
 
 (** Run one machine over one prepared function.  Honours the domain's
     containment context: raises {!Injected_fault} if the test hook
     matches, runs flow-insensitively inside {!with_degraded}, and
     raises {!Budget_exhausted} when a {!with_budget} limit runs out. *)
-let check_prep ?stats ?at_exit (sm : 'state Sm.t) (prep : Prep.t) :
-    Diag.t list =
+let check_prep ?at_exit (sm : 'state Sm.t) (prep : Prep.t) : Diag.t list =
   check_fault_hook ~checker:sm.Sm.name ~func:prep.Prep.func.Ast.f_name;
-  if Domain.DLS.get degraded_key then check_prep_flat ?stats ?at_exit sm prep
-  else check_prep_full ?stats ?at_exit sm prep
+  if Domain.DLS.get degraded_key then check_prep_flat ?at_exit sm prep
+  else check_prep_full ?at_exit sm prep
 
 (* ------------------------------------------------------------------ *)
 (* Prebuilt dispatch tables                                            *)
@@ -649,13 +633,12 @@ let table_sm (t : table) : int Sm.t = t.t_sm
 
 (** [check_prep] for a prebuilt table — honours the same fault hook,
     degraded mode, and budget as the generic path. *)
-let check_prep_table ?stats ?at_exit (t : table) (prep : Prep.t) :
-    Diag.t list =
+let check_prep_table ?at_exit (t : table) (prep : Prep.t) : Diag.t list =
   check_fault_hook ~checker:t.t_sm.Sm.name ~func:prep.Prep.func.Ast.f_name;
   let dispatch_for s = t.t_dispatch.(s) in
   if Domain.DLS.get degraded_key then
-    check_prep_flat ?stats ?at_exit ~dispatch_for t.t_sm prep
-  else check_prep_full ?stats ?at_exit ~dispatch_for t.t_sm prep
+    check_prep_flat ?at_exit ~dispatch_for t.t_sm prep
+  else check_prep_full ?at_exit ~dispatch_for t.t_sm prep
 
 (* ------------------------------------------------------------------ *)
 (* Generic reindexing: a finite machine lowered onto dense int states   *)
@@ -1079,39 +1062,37 @@ let product_scan (prep : Prep.t) (machines : pmachine array) : bool array =
     in
     visit cfg.Cfg.entry entry_vec;
     Array.iter (fun i -> i.i_finish ()) insts;
-    Mcobs.count "engine.product_scans";
-    Mcobs.count ~by:!visits "engine.product_nodes_visited";
+    Mcmetrics.inc m_product_scans;
+    Mcmetrics.inc ~by:!visits m_product_nodes;
     Array.map (fun i -> i.i_dirty ()) insts
   end
   in
   if packed_ok then
     try run ~packed:true
     with Pack_overflow ->
-      Mcobs.count "engine.product_pack_fallbacks";
+      Mcmetrics.inc m_pack_fallbacks;
       run ~packed:false
   else run ~packed:false
 
-let check_func ?stats ?at_exit (sm : 'state Sm.t) (func : Ast.func) :
-    Diag.t list =
-  check_prep ?stats ?at_exit sm (Prep.build func)
+let check_func ?at_exit (sm : 'state Sm.t) (func : Ast.func) : Diag.t list =
+  check_prep ?at_exit sm (Prep.build func)
 
 type target =
   [ `Func of Ast.func | `Unit of Ast.tunit | `Program of Ast.tunit list ]
 
 (** The single entry point: check a function, a translation unit, or a
     whole program. *)
-let check ?stats ?at_exit (sm : 'state Sm.t) (target : target) : Diag.t list
-    =
+let check ?at_exit (sm : 'state Sm.t) (target : target) : Diag.t list =
   match target with
-  | `Func f -> check_func ?stats ?at_exit sm f
+  | `Func f -> check_func ?at_exit sm f
   | `Unit tu ->
     List.concat_map
-      (fun f -> check_func ?stats ?at_exit sm f)
+      (fun f -> check_func ?at_exit sm f)
       (Ast.functions tu)
   | `Program tus ->
     List.concat_map
       (fun tu ->
         List.concat_map
-          (fun f -> check_func ?stats ?at_exit sm f)
+          (fun f -> check_func ?at_exit sm f)
           (Ast.functions tu))
       tus

@@ -12,23 +12,6 @@
     order; the first matching rule (state rules before [all] rules)
     fires. *)
 
-type stats = {
-  nodes_visited : int;
-  events_matched : int;
-  paths_stopped : int;
-}
-(** An immutable statistics snapshot.  The engine never mutates shared
-    state: counts are accumulated domain-locally and folded into the
-    caller's [stats ref] once per checked function, so concurrent domains
-    each passing their own ref are race-free.  Merge per-domain records
-    with {!stats_add} at join. *)
-
-val stats_zero : stats
-val stats_add : stats -> stats -> stats
-
-val fresh_stats : unit -> stats ref
-(** a fresh accumulator, [ref stats_zero] *)
-
 type 'state exit_hook = Sm.action_ctx -> 'state -> unit
 (** called once per distinct state in which a path reaches the function
     exit; used for "must do X before returning" rules *)
@@ -80,7 +63,6 @@ type target =
     a whole program *)
 
 val check :
-  ?stats:stats ref ->
   ?at_exit:'state exit_hook ->
   'state Sm.t ->
   target ->
@@ -89,7 +71,6 @@ val check :
     per function, concatenated in source order across functions *)
 
 val check_prep :
-  ?stats:stats ref ->
   ?at_exit:'state exit_hook ->
   'state Sm.t ->
   Prep.t ->
@@ -125,7 +106,6 @@ val table_sm : table -> int Sm.t
 (** the underlying machine *)
 
 val check_prep_table :
-  ?stats:stats ref ->
   ?at_exit:int exit_hook ->
   table ->
   Prep.t ->

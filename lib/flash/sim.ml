@@ -274,11 +274,8 @@ let deliver t (msg : Message.t) : int option =
   let node = t.nodes.(msg.Message.dst) in
   let line = line_of_addr t msg.Message.addr in
   t.stats.messages <- t.stats.messages + 1;
-  Mcobs.count "sim.messages";
-  if String.equal msg.Message.opcode "MSG_NAK" then begin
+  if String.equal msg.Message.opcode "MSG_NAK" then
     t.stats.naks <- t.stats.naks + 1;
-    Mcobs.count "sim.naks"
-  end;
   (* hardware: allocate the buffer and stream the body in *)
   let filling =
     msg.Message.has_data && Rng.percent t.rng t.cfg.fill_delay_pct
@@ -341,7 +338,6 @@ let deliver t (msg : Message.t) : int option =
     | None -> ()
     | Some handler ->
       t.stats.handler_runs <- t.stats.handler_runs + 1;
-      Mcobs.count "sim.handler_runs";
       let faults, sent =
         Interp.run_handler ~node ~program:t.program ~consts:t.consts handler
       in
@@ -518,7 +514,6 @@ let run (cfg : config) : result =
       let t = create cfg in
       for i = 1 to cfg.transactions do
         t.current_transaction <- i;
-        Mcobs.count "sim.transactions";
         let op = random_op t in
         (match op with
         | Read _ -> t.stats.reads <- t.stats.reads + 1

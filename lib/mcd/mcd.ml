@@ -180,6 +180,18 @@ let iter_units (prepared : prepared array)
     prepared;
   !slot
 
+let m_units_run =
+  Mcmetrics.counter ~help:"Mcd units executed (cache misses)"
+    "mcheck_units_run_total"
+
+let m_units_faulted =
+  Mcmetrics.counter ~help:"units ended by the per-unit fault barrier"
+    "mcheck_units_faulted_total"
+
+let m_queue_wait =
+  Mcmetrics.hist ~help:"unit wait from scheduling to execution start, ms"
+    "mcheck_unit_queue_wait_ms"
+
 let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
     (job_list : job list) : (string * Diag.t list) list list * stats =
   (* one wall measurement, on the Mcobs clock: it produces both the
@@ -215,17 +227,13 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
       results.(slot) <- slices;
       incr hits
     | None ->
-      let run_of =
-        if Mcobs.enabled () then begin
-          let enqueued_us = Mcobs.now_us () in
-          fun () ->
-            Mcobs.observe "mcd.queue_wait_ms"
-              ((Mcobs.now_us () -. enqueued_us) /. 1000.);
-            Mcobs.with_span "mcd.unit"
-              ~args:[ ("checker", cname); ("unit", uname) ]
-              run_of
-        end
-        else run_of
+      let enqueued_us = Mcobs.now_us () in
+      let run_of () =
+        Mcmetrics.observe m_queue_wait
+          ((Mcobs.now_us () -. enqueued_us) /. 1000.);
+        Mcobs.with_span "mcd.unit"
+          ~args:[ ("checker", cname); ("unit", uname) ]
+          run_of
       in
       miss_slots := (slot, run_of) :: !miss_slots;
       if cache <> None then miss_keys := (slot, key_of ()) :: !miss_keys
@@ -364,8 +372,7 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
        | "" -> []
        | trace -> [ ("trace", trace) ]))
     ~begin_us:t0 ~dur_us ();
-  Mcobs.count ~by:total "mcd.units_total";
-  Mcobs.count ~by:(Array.length tasks) "mcd.units_run";
+  Mcmetrics.inc ~by:(Array.length tasks) m_units_run;
   let units_faulted =
     Array.fold_left (fun acc fs -> if fs = [] then acc else acc + 1) 0 faults
   in
@@ -375,7 +382,7 @@ let check_jobs ?cache ?(budget = Engine.no_budget) ~jobs
         if w.Mcd_pool.crashed then acc + 1 else acc)
       0 worker_stats
   in
-  if units_faulted > 0 then Mcobs.count ~by:units_faulted "mcd.units_faulted";
+  Mcmetrics.inc ~by:units_faulted m_units_faulted;
   let stats =
     {
       units_total = total;

@@ -46,6 +46,40 @@ let format_tag = "mcd-cache-v4" (* v4: footer-validated container *)
 let footer_magic = "MCDCACH1"
 let footer_len = 8 + 8 + 16
 
+let m_probes =
+  Mcmetrics.counter ~help:"Mcd unit cache probes"
+    "mcheck_unit_cache_probes_total"
+
+let m_hits =
+  Mcmetrics.counter ~help:"Mcd unit cache hits" "mcheck_unit_cache_hits_total"
+
+let m_stores =
+  Mcmetrics.counter ~help:"Mcd unit cache stores"
+    "mcheck_unit_cache_stores_total"
+
+let by_result ~help name values =
+  let series =
+    List.map
+      (fun v -> (v, Mcmetrics.counter_labeled ~help name ~label:("result", v)))
+      values
+  in
+  fun v -> Mcmetrics.inc (List.assoc v series)
+
+let load_classes = [ "ok"; "missing"; "error"; "partial"; "corrupt"; "stale" ]
+
+let count_load =
+  by_result ~help:"cache file loads, by outcome" "mcheck_cache_loads_total"
+    load_classes
+
+let count_segment =
+  by_result ~help:"cache directory segment loads, by outcome"
+    "mcheck_cache_segments_total" load_classes
+
+let count_publish =
+  by_result ~help:"cache directory publications, by outcome"
+    "mcheck_cache_publishes_total"
+    [ "ok"; "dup"; "contended"; "failed" ]
+
 let create () = { mutex = Mutex.create (); table = Hashtbl.create 1024 }
 
 let locked c f =
@@ -54,12 +88,12 @@ let locked c f =
 
 let find c key =
   let r = locked c (fun () -> Hashtbl.find_opt c.table key) in
-  Mcobs.count "mcd.cache.probe";
-  Mcobs.count (if r = None then "mcd.cache.miss" else "mcd.cache.hit");
+  Mcmetrics.inc m_probes;
+  if r <> None then Mcmetrics.inc m_hits;
   r
 
 let add c key diags =
-  Mcobs.count "mcd.cache.store";
+  Mcmetrics.inc m_stores;
   locked c (fun () -> Hashtbl.replace c.table key diags)
 
 let size c = locked c (fun () -> Hashtbl.length c.table)
@@ -91,7 +125,7 @@ let save c path =
          (try Sys.remove tmp with Sys_error _ -> ());
          raise exn))
 
-(* Why a load was cold, for the Mcobs counters: a crash-truncated file
+(* Why a load was cold, for the load counters: a crash-truncated file
    looks different from a corrupted or stale one, and the fault-injection
    harness asserts each class lands in the right bucket. *)
 type load_failure = Partial | Corrupt
@@ -118,7 +152,7 @@ let classify_container (data : string) : (string, load_failure) result =
    length and digest already checked out. *)
 let load path =
   let cold reason =
-    Mcobs.count ("mcd.cache.load." ^ reason);
+    count_load reason;
     create ()
   in
   if not (Sys.file_exists path) then cold "missing"
@@ -140,7 +174,7 @@ let load path =
             : string * (string, Diag.t list array) Hashtbl.t)
         with
         | tag, table when String.equal tag format_tag ->
-          Mcobs.count "mcd.cache.load.ok";
+          count_load "ok";
           { mutex = Mutex.create (); table }
         | _ -> cold "stale"
         | exception _ -> cold "corrupt"))
@@ -179,7 +213,7 @@ let publish_dir c dir =
   let seg = segment_path dir hex in
   if Sys.file_exists seg then begin
     (* someone already published identical content *)
-    Mcobs.count "mcd.cache.publish.dup";
+    count_publish "dup";
     Ok seg
   end
   else begin
@@ -190,9 +224,10 @@ let publish_dir c dir =
     | exception Unix.Unix_error (Unix.EEXIST, _, _) ->
       (* another writer is publishing this very content right now —
          its rename will land the same bytes, so ours is redundant *)
-      Mcobs.count "mcd.cache.publish.contended";
+      count_publish "contended";
       Ok seg
     | exception Unix.Unix_error (e, _, _) ->
+      count_publish "failed";
       Error
         (Printf.sprintf "cache claim %s: %s" claim (Unix.error_message e))
     | claim_fd -> (
@@ -218,10 +253,11 @@ let publish_dir c dir =
       with
       | () ->
         release ();
-        Mcobs.count "mcd.cache.publish.ok";
+        count_publish "ok";
         Ok seg
       | exception exn ->
         release ();
+        count_publish "failed";
         Error (Printexc.to_string exn))
   end
 
@@ -232,7 +268,7 @@ let is_segment name =
 
 let load_dir dir =
   let acc = create () in
-  let cold reason = Mcobs.count ("mcd.cache.dir." ^ reason) in
+  let cold = count_segment in
   (match Sys.readdir dir with
   | exception Sys_error _ -> cold "missing"
   | names ->

@@ -27,7 +27,7 @@ val save : t -> string -> unit
 val load : string -> t
 (** a missing, truncated, corrupt, or stale-format file yields an empty
     cache — the footer is validated before any unmarshalling runs, and
-    the failure class is recorded as an [mcd.cache.load.*] counter
+    the outcome is counted in [mcheck_cache_loads_total{result=...}]
     ([ok] / [missing] / [partial] / [corrupt] / [stale] / [error]) *)
 
 (** {2 Multi-writer cache directories}
@@ -39,7 +39,8 @@ val load : string -> t
     file ([O_CREAT|O_EXCL]) suppresses duplicate publication work, and
     the segment itself lands by temp-file + [rename], so readers never
     observe a torn write.  Corrupt, partial, or stale segments are
-    classified and skipped at load ([mcd.cache.dir.*] counters). *)
+    classified and skipped at load
+    ([mcheck_cache_segments_total{result=...}]). *)
 
 val merge : into:t -> t -> unit
 (** fold [src]'s entries into [into]; existing keys win (results are

@@ -50,6 +50,14 @@ let kill_hook : (worker:int -> task:int -> bool) option ref = ref None
 
 let set_test_kill h = kill_hook := h
 
+let m_workers_crashed =
+  Mcmetrics.counter ~help:"pool workers whose claim loop died"
+    "mcheck_pool_workers_crashed_total"
+
+let m_reclaimed =
+  Mcmetrics.counter ~help:"tasks re-run by the coordinator after a crash"
+    "mcheck_pool_tasks_reclaimed_total"
+
 (** Execute every task of [tasks] exactly once across [domains] worker
     domains (clamped to at least 1).  Workers claim [chunk] consecutive
     tasks at a time (default 1); a larger chunk amortises the shared
@@ -98,7 +106,7 @@ let run ?(chunk = 1) ~domains (tasks : (unit -> unit) array) :
        loop ()
      with _ ->
        crashed := true;
-       Mcobs.count "mcd.pool.worker_crashed");
+       Mcmetrics.inc m_workers_crashed);
     let dur = Mcobs.now_us () -. t0 in
     Mcobs.record_span ~name:"mcd.worker"
       ~args:[ ("tasks", string_of_int !count) ]
@@ -122,6 +130,6 @@ let run ?(chunk = 1) ~domains (tasks : (unit -> unit) array) :
         run_task i
       end)
     completed;
-  if !orphans > 0 then Mcobs.count ~by:!orphans "mcd.pool.reclaimed";
+  Mcmetrics.inc ~by:!orphans m_reclaimed;
   (match Atomic.get failure with Some exn -> raise exn | None -> ());
   Array.append [| mine |] others

@@ -1,12 +1,12 @@
-(** Mcobs — the unified tracing, metrics, and logging layer of the
-    checking pipeline.
+(** Mcobs — the tracing and logging layer of the checking pipeline.
+    Counts (counters, gauges, histograms) live in {!Mcmetrics}.
 
     Recording is domain-local and lock-free on the hot path: each domain
-    owns a buffer (via [Domain.DLS]) into which spans, counters, and
-    histogram samples are written; the one global mutex is taken only
-    when a domain first creates its buffer and when the coordinating
-    domain takes a {!snapshot} after the workers have joined.  That makes
-    every instrumentation point safe inside [Mcd_pool] workers.
+    owns a buffer (via [Domain.DLS]) into which spans are written; the
+    one global mutex is taken only when a domain first creates its
+    buffer and when the coordinating domain takes a {!snapshot} after
+    the workers have joined.  That makes every instrumentation point
+    safe inside [Mcd_pool] workers.
 
     Everything is gated on a single enable flag ({!set_enabled}, or the
     [OBS_TRACE=1] environment variable): with tracing off, a span costs
@@ -90,25 +90,10 @@ val record_span :
     overrides the ambient trace id (the daemon's root request span is
     recorded after the ambient context is cleared). *)
 
-val count : ?by:int -> string -> unit
-(** bump a named counter (domain-local; merged at snapshot) *)
-
-val observe : string -> float -> unit
-(** add a sample (in milliseconds) to a named log-scale histogram *)
-
 (** {1 Snapshots} *)
-
-type hist_snapshot = {
-  count : int;
-  sum_ms : float;
-  max_ms : float;
-  buckets : int array;  (** log-scale buckets; last is overflow *)
-}
 
 type snapshot = {
   spans : span list;  (** every domain, ascending begin time *)
-  counters : (string * int) list;  (** merged across domains, by name *)
-  hists : (string * hist_snapshot) list;
   dropped_spans : int;  (** spans discarded by the per-domain cap *)
 }
 
@@ -121,30 +106,9 @@ val reset : unit -> unit
 
 val drain_trace : string -> span list
 (** remove and return every span recorded under the given trace id
-    (ascending begin time), leaving other traces' spans and all
-    counters/histograms untouched — the flight recorder's per-request
-    harvest.  Same calling discipline as {!snapshot} with respect to
-    the drained trace. *)
-
-val merge_counters :
-  (string * int) list -> (string * int) list -> (string * int) list
-(** union-with-(+), result sorted by name — associative and commutative
-    (the qcheck suite pins this down), which is what makes the pairwise
-    per-domain merge order-insensitive *)
-
-val hist_bounds_ms : float array
-(** upper bounds of the histogram buckets, in milliseconds *)
-
-val quantile : snapshot -> string -> float -> float option
-(** [quantile s name p] estimates the [p]-quantile (p in [0,1]) of the
-    named histogram by linear interpolation inside the bucket holding
-    the target rank: monotone in [p], bracketed by the bucket's bounds
-    (the overflow bucket is capped at the recorded max).  [None] for an
-    unknown name, an empty histogram, or [p] outside [0,1]. *)
-
-val quantile_hist : hist_snapshot -> float -> float option
-(** the same estimate on a bare histogram snapshot (what the live
-    metrics registry aggregates) *)
+    (ascending begin time), leaving other traces' spans untouched — the
+    flight recorder's per-request harvest.  Same calling discipline as
+    {!snapshot} with respect to the drained trace. *)
 
 (** {1 Exporters} *)
 
@@ -153,17 +117,19 @@ val json_escape : string -> string
     every JSON-shaped exporter here and in [Mctel]) *)
 
 val pp_summary : Format.formatter -> snapshot -> unit
-(** human-readable digest: counters, histograms, spans aggregated by
-    name *)
+(** human-readable digest: spans aggregated by name *)
 
-val export_chrome : out_channel -> snapshot -> unit
+val export_chrome :
+  ?counters:(string * int) list -> out_channel -> snapshot -> unit
 (** Chrome trace-event JSON (["X"] complete events, one track per
-    domain) — loadable in [chrome://tracing] and Perfetto *)
+    domain) — loadable in [chrome://tracing] and Perfetto; [counters]
+    (a {!Mcmetrics} snapshot's) become ["C"] events at the end of the
+    timeline *)
 
-val export_chrome_file : string -> snapshot -> unit
+val export_chrome_file :
+  ?counters:(string * int) list -> string -> snapshot -> unit
 
 val export_jsonl : out_channel -> snapshot -> unit
-(** one self-describing JSON object per line (spans, counters,
-    histograms) *)
+(** one self-describing JSON object per span per line *)
 
 val export_jsonl_file : string -> snapshot -> unit

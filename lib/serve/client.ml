@@ -174,7 +174,7 @@ let run_check ?(on_diag = fun _ -> ()) t req =
            protocol violation rather than mask it *)
         if acc <> [] then err E_proto "overloaded after diagnostics began"
         else Ok (Overloaded ro_retry_after_ms)
-      | Ok (Proto.R_ok | Proto.R_text _) ->
+      | Ok (Proto.R_ok | Proto.R_text _ | Proto.R_counters _) ->
         err E_proto "unexpected response kind mid-check"
     in
     collect []

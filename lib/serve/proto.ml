@@ -7,7 +7,9 @@ let magic = "MCHK"
 
 (* v2: check_opts carries a client-minted trace id; Stats takes a
    format byte; Metrics and Flight expose the live telemetry.
-   v3: R_overloaded — admission-control shed with a Retry-After hint *)
+   v3: R_overloaded — admission-control shed with a Retry-After hint.
+   R_counters (worker to daemon only, never forwarded to a client)
+   needs no bump: no client ever receives it. *)
 let version = 3
 let header_len = 4 + 2 + 4
 let max_payload = 16 * 1024 * 1024
@@ -58,6 +60,7 @@ type response =
   | R_ok
   | R_error of string
   | R_overloaded of { ro_retry_after_ms : int }
+  | R_counters of (string * int) list
 
 (* messages are trees of strings / ints / bools: structural equality is
    exactly message equality *)
@@ -90,6 +93,10 @@ let w_u32 b v =
   w_u8 b (v lsr 16);
   w_u8 b (v lsr 8);
   w_u8 b v
+
+let w_u63 b v =
+  w_u32 b (v lsr 32);
+  w_u32 b v
 
 let w_bool b v = w_u8 b (if v then 1 else 0)
 
@@ -140,6 +147,11 @@ let r_u32 r =
   in
   r.pos <- r.pos + 4;
   v
+
+let r_u63 r =
+  let hi = r_u32 r in
+  let lo = r_u32 r in
+  (hi lsl 32) lor lo
 
 let r_bool r =
   match r_u8 r with
@@ -208,6 +220,7 @@ let t_text = 0x83
 let t_ok = 0x84
 let t_error = 0x85
 let t_overloaded = 0x86
+let t_counters = 0x87
 
 let encode_request req =
   let b = Buffer.create 64 in
@@ -291,7 +304,14 @@ let encode_response resp =
     w_str b msg
   | R_overloaded { ro_retry_after_ms } ->
     w_u8 b t_overloaded;
-    w_u32 b ro_retry_after_ms);
+    w_u32 b ro_retry_after_ms
+  | R_counters deltas ->
+    w_u8 b t_counters;
+    w_list
+      (fun b (name, v) ->
+        w_str b name;
+        w_u63 b v)
+      b deltas);
   Buffer.contents b
 
 let decode_response s =
@@ -317,6 +337,13 @@ let decode_response s =
         else if tag = t_error then R_error (r_str r)
         else if tag = t_overloaded then
           R_overloaded { ro_retry_after_ms = r_u32 r }
+        else if tag = t_counters then
+          R_counters
+            (r_list
+               (fun r ->
+                 let name = r_str r in
+                 (name, r_u63 r))
+               r)
         else raise (Bad (Printf.sprintf "unknown response tag %d" tag))
       in
       finish r resp)

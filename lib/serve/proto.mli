@@ -98,6 +98,10 @@ type response =
           output) happened; retry after the hinted delay — never sent
           after an [R_diag], so a client that sees it knows nothing
           partial was written *)
+  | R_counters of (string * int) list
+      (** a supervised worker's metrics-registry counter deltas for the
+          request, sent just before its final frame; the daemon adds
+          them to its own registry and never forwards the frame *)
 
 val equal_request : request -> request -> bool
 val equal_response : response -> response -> bool

@@ -2,8 +2,10 @@
    connection, one shared warm session; the session itself is not
    thread-safe, so a mutex serializes check execution — concurrent
    clients multiplex onto the one Mcd pool rather than spawning rival
-   pools.  All daemon state transitions (drain, reload, counters) go
-   through [t.mu].
+   pools.  Admission and drain state (the draining flag, open
+   connections, in-flight checks) goes through [t.mu]; every count
+   lives in the metrics registry, which [--stats] and [/metrics] both
+   render.
 
    Telemetry rides every request: a trace id (client-minted or ours)
    is installed as the ambient Mcobs context for the duration of the
@@ -76,16 +78,13 @@ type t = {
   msock : Unix.file_descr option;  (* metrics exposition listener *)
   access : Mctel.Accesslog.t;
   flight : Mctel.Flight.t;
-  mu : Mutex.t;  (* flags and counters *)
+  mu : Mutex.t;  (* admission and drain state *)
   cond : Condition.t;  (* signalled when conns/inflight drop *)
   session_mu : Mutex.t;  (* serializes session use (checks, reload) *)
   mutable session : Mcheck_api.Session.t;
   sup : Mcsup.t option;  (* the worker pool, in supervised mode *)
   mutable is_draining : bool;
   mutable conns : int;
-  mutable requests : int;
-  mutable refused : int;
-  mutable errors : int;
   mutable inflight_n : int;
   started : float;
 }
@@ -131,10 +130,6 @@ let m_queue =
 let m_conns = Mctel.Metrics.gauge ~help:"open connections" "mcheckd_connections"
 let m_draining = Mctel.Metrics.gauge ~help:"1 while draining" "mcheckd_draining"
 
-let m_flight_notable =
-  Mctel.Metrics.counter ~help:"flight-recorder entries retained as notable"
-    "mcheckd_flight_notable_total"
-
 let m_req_ms =
   Mctel.Metrics.hist ~help:"request wall time (all request kinds), ms"
     "mcheckd_request_ms"
@@ -142,6 +137,20 @@ let m_req_ms =
 let m_shed =
   Mctel.Metrics.counter ~help:"requests shed by admission control"
     "mcheckd_shed_total"
+
+let m_reload_failures =
+  Mctel.Metrics.counter ~help:"reload requests that could not build a session"
+    "mcheckd_reload_failures_total"
+
+let m_reloads =
+  Mctel.Metrics.counter ~help:"reload requests" "mcheckd_reloads_total"
+
+let m_drains =
+  Mctel.Metrics.counter ~help:"drain requests" "mcheckd_drains_total"
+
+let m_checks_ok =
+  Mctel.Metrics.counter ~help:"admitted checks answered with a report"
+    "mcheckd_checks_ok_total"
 
 let m_client_aborts =
   Mctel.Metrics.counter
@@ -271,9 +280,6 @@ let create cfg =
             session;
             is_draining = false;
             conns = 0;
-            requests = 0;
-            refused = 0;
-            errors = 0;
             inflight_n = 0;
             started = Unix.gettimeofday ();
           }))
@@ -289,39 +295,72 @@ let initiate_drain t =
       Condition.broadcast t.cond)
 
 let draining t = locked t.mu (fun () -> t.is_draining)
-let inflight t = locked t.mu (fun () -> t.inflight_n)
 let supervisor t = t.sup
-let access_log t = t.access
 let flight_recorder t = t.flight
 let reopen_access_log t = Mctel.Accesslog.reopen t.access
 
+(* Every --stats number is a read of one registry snapshot, so the
+   reply cannot disagree with /metrics.  [refused] sums the drain
+   refusals and admission sheds, [errors] the fault-barrier trips,
+   protocol errors and failed reloads.  The session block covers every
+   session the process has run (reload swaps sessions, the series
+   carry on), so its uptime is the daemon's. *)
+let stats_view t =
+  let m = Mctel.Metrics.snapshot () in
+  let n = Mctel.Metrics.int_value m in
+  let session =
+    [
+      ("requests", "requests", n "mcheck_session_requests_total");
+      ("files_checked", "files", n "mcheck_files_checked_total");
+      ("diags_emitted", "diags", n "mcheck_diags_total");
+      ("findings", "findings", n "mcheck_findings_total");
+      ("units_run", "units run", n "mcheck_units_run_total");
+      ("cache_hits", "cache hits", n "mcheck_unit_cache_hits_total");
+      ("memo_hits", "memo hits", n "mcheck_memo_hits_total");
+      ("cache_entries", "cache entries", n "mcheck_unit_cache_entries");
+    ]
+  in
+  let check_wall_ms =
+    match Mctel.Metrics.hist_value m "mcheck_check_ms" with
+    | Some h -> h.Mctel.Metrics.sum_ms
+    | None -> 0.
+  in
+  ( n,
+    n "mcheckd_refused_total" + n "mcheckd_shed_total",
+    n "mcheckd_faults_total"
+    + n "mcheckd_protocol_errors_total"
+    + n "mcheckd_reload_failures_total",
+    session,
+    check_wall_ms,
+    Unix.gettimeofday () -. t.started )
+
 let stats_text t =
-  let s = Mcheck_api.Session.stats t.session in
-  locked t.mu (fun () ->
-      Format.asprintf
-        "mcheckd %s: up %.1f s, %d conn(s), %d request(s) served, %d \
-         refused, %d error(s), %d in flight%s@.session: %a@."
-        (Proto.addr_to_string t.cfg.addr)
-        (Unix.gettimeofday () -. t.started)
-        t.conns t.requests t.refused t.errors t.inflight_n
-        (if t.is_draining then " (draining)" else "")
-        Mcheck_api.Session.pp_stats s)
+  let n, refused, errors, session, check_wall_ms, uptime = stats_view t in
+  Printf.sprintf
+    "mcheckd %s: up %.1f s, %d conn(s), %d request(s) served, %d refused, \
+     %d error(s), %d in flight%s\n\
+     session: %s, check wall %.1f ms, uptime %.1f s\n"
+    (Proto.addr_to_string t.cfg.addr)
+    uptime (n "mcheckd_connections") (n "mcheckd_requests_total") refused
+    errors (n "mcheckd_inflight")
+    (if n "mcheckd_draining" = 1 then " (draining)" else "")
+    (String.concat ", "
+       (List.map (fun (_, label, v) -> Printf.sprintf "%s %d" label v) session))
+    check_wall_ms uptime
 
 let stats_json t =
-  let s = Mcheck_api.Session.stats t.session in
-  locked t.mu (fun () ->
-      Printf.sprintf
-        "{\"addr\":\"%s\",\"uptime_s\":%.1f,\"conns\":%d,\"requests\":%d,\"refused\":%d,\"errors\":%d,\"inflight\":%d,\"draining\":%b,\"access_log_lines\":%d,\"flight_notable\":%d,\"session\":{\"requests\":%d,\"files_checked\":%d,\"diags_emitted\":%d,\"findings\":%d,\"units_run\":%d,\"cache_hits\":%d,\"cache_entries\":%d,\"check_wall_ms\":%.1f,\"uptime_s\":%.1f}}\n"
-        (Mcobs.json_escape (Proto.addr_to_string t.cfg.addr))
-        (Unix.gettimeofday () -. t.started)
-        t.conns t.requests t.refused t.errors t.inflight_n t.is_draining
-        (Mctel.Accesslog.lines_written t.access)
-        (Mctel.Flight.retained t.flight)
-        s.Mcheck_api.Session.requests s.Mcheck_api.Session.files_checked
-        s.Mcheck_api.Session.diags_emitted s.Mcheck_api.Session.findings
-        s.Mcheck_api.Session.units_run s.Mcheck_api.Session.cache_hits
-        s.Mcheck_api.Session.cache_entries
-        s.Mcheck_api.Session.check_wall_ms s.Mcheck_api.Session.uptime_s)
+  let n, refused, errors, session, check_wall_ms, uptime = stats_view t in
+  Printf.sprintf
+    "{\"addr\":\"%s\",\"uptime_s\":%.1f,\"conns\":%d,\"requests\":%d,\"refused\":%d,\"errors\":%d,\"inflight\":%d,\"draining\":%b,\"access_log_lines\":%d,\"flight_notable\":%d,\"session\":{%s,\"check_wall_ms\":%.1f,\"uptime_s\":%.1f}}\n"
+    (Mcobs.json_escape (Proto.addr_to_string t.cfg.addr))
+    uptime (n "mcheckd_connections") (n "mcheckd_requests_total") refused
+    errors (n "mcheckd_inflight")
+    (n "mcheckd_draining" = 1)
+    (n "mcheckd_access_log_lines_total")
+    (n "mcheckd_flight_notable_total")
+    (String.concat ","
+       (List.map (fun (key, _, v) -> Printf.sprintf "\"%s\":%d" key v) session))
+    check_wall_ms uptime
 
 let warm t =
   Mcobs.with_span "serve.warm" (fun () ->
@@ -346,7 +385,7 @@ let send fd resp = Proto.write_frame fd (Proto.encode_response resp)
 let retry_after_ms t inflight =
   let p50 =
     Option.value ~default:50.
-      (Mcobs.quantile_hist (Mctel.Metrics.hist_snapshot m_req_ms) 0.5)
+      (Mctel.Metrics.quantile (Mctel.Metrics.hist_snapshot m_req_ms) 0.5)
   in
   let lanes =
     match t.sup with Some pool -> max 1 (Mcsup.size pool) | None -> 1
@@ -365,7 +404,6 @@ let admit t =
         `Shed (retry_after_ms t t.inflight_n)
       else begin
         t.inflight_n <- t.inflight_n + 1;
-        t.requests <- t.requests + 1;
         Mctel.Metrics.inc m_requests;
         Mctel.Metrics.set m_inflight t.inflight_n;
         `Admitted
@@ -376,13 +414,6 @@ let finish_inflight t =
       t.inflight_n <- t.inflight_n - 1;
       Mctel.Metrics.set m_inflight t.inflight_n;
       Condition.broadcast t.cond)
-
-let render_opts (o : Proto.check_opts) =
-  {
-    Mcheck_api.ro_explain = o.Proto.co_explain;
-    ro_verbose = o.Proto.co_verbose;
-    ro_quiet = o.Proto.co_quiet;
-  }
 
 (* the request trace id: the client's, when well-formed; ours
    otherwise — every request is traceable either way *)
@@ -443,11 +474,8 @@ let run_check t fd ~peer ~kind ~bytes_in ~req (opts : Proto.check_opts) work =
              al_diags = !diags_n;
              al_cache_hits = !cache_hits;
            });
-      let notable0 = Mctel.Flight.retained t.flight in
       Mctel.Flight.record t.flight ~trace ~kind ~peer ~begin_us ~wall_ms
-        ~outcome:!outcome ~spans:!harvested;
-      let kept = Mctel.Flight.retained t.flight - notable0 in
-      if kept > 0 then Mctel.Metrics.inc ~by:kept m_flight_notable
+        ~outcome:!outcome ~spans:!harvested
     end
   in
   (* the supervised path: ship the encoded request to a pooled worker
@@ -459,7 +487,21 @@ let run_check t fd ~peer ~kind ~bytes_in ~req (opts : Proto.check_opts) work =
   let run_supervised pool =
     match Mcsup.dispatch pool (Proto.encode_request req) with
     | Ok frames ->
-      Mcobs.count "serve.check.ok";
+      (* the worker's counter deltas ride just before its final frame:
+         they are the daemon's to count, not the client's to read *)
+      let frames =
+        match List.rev frames with
+        | last :: prev :: rest -> (
+          match Proto.decode_response prev with
+          | Ok (Proto.R_counters deltas) ->
+            Mctel.Metrics.add_counters deltas;
+            cache_hits :=
+              Option.value ~default:0
+                (List.assoc_opt "mcheck_unit_cache_hits_total" deltas);
+            List.rev (last :: rest)
+          | _ -> frames)
+        | _ -> frames
+      in
       (* one coalesced write: the whole frame list is already in hand
          (nothing was streamed during dispatch), so forwarding it frame
          by frame would only pay a syscall per diagnostic *)
@@ -478,18 +520,15 @@ let run_check t fd ~peer ~kind ~bytes_in ~req (opts : Proto.check_opts) work =
       let last = List.nth frames (List.length frames - 1) in
       (match Proto.decode_response last with
       | Ok (Proto.R_done { rd_exit; rd_findings; rd_diags }) ->
+        Mctel.Metrics.inc m_checks_ok;
         outcome := outcome_of_exit rd_exit;
         findings := rd_findings;
         diags_n := rd_diags
       | Ok (Proto.R_error _) ->
-        locked t.mu (fun () -> t.errors <- t.errors + 1);
-        Mcobs.count "serve.check.fault";
         Mctel.Metrics.inc m_faults;
         outcome := "fault"
       | _ -> outcome := "ok")
     | Error f ->
-      locked t.mu (fun () -> t.errors <- t.errors + 1);
-      Mcobs.count "serve.check.fault";
       Mctel.Metrics.inc m_faults;
       outcome := "fault";
       send_counted
@@ -497,13 +536,11 @@ let run_check t fd ~peer ~kind ~bytes_in ~req (opts : Proto.check_opts) work =
   in
   match admit t with
   | `Draining ->
-    locked t.mu (fun () -> t.refused <- t.refused + 1);
     Mctel.Metrics.inc m_refused;
     outcome := "refused";
     Fun.protect ~finally:finish_log (fun () ->
         send_counted (Proto.R_error "draining: request refused"))
   | `Shed ms ->
-    locked t.mu (fun () -> t.refused <- t.refused + 1);
     Mctel.Metrics.inc m_shed;
     outcome := "overloaded";
     Fun.protect ~finally:finish_log (fun () ->
@@ -520,84 +557,57 @@ let run_check t fd ~peer ~kind ~bytes_in ~req (opts : Proto.check_opts) work =
           Mctel.Metrics.add m_queue (-1);
           Mcobs.with_span "serve.check" (fun () -> run_supervised pool)
         | None ->
-        match
-          Mcobs.with_span "serve.check" (fun () ->
-              locked t.session_mu (fun () ->
-                  Mctel.Metrics.add m_queue (-1);
-                  let hits0 =
-                    (Mcheck_api.Session.stats t.session)
-                      .Mcheck_api.Session.cache_hits
-                  in
-                  (* the ambient trace context attributes every span the
-                     check records — across the session and the Mcd
-                     worker domains — to this request; session_mu is
-                     what makes the process-global context sound *)
-                  Fun.protect
-                    ~finally:(fun () ->
-                      Mcobs.set_trace "";
-                      Mcobs.record_span ~trace ~name:"serve.request"
-                        ~args:[ ("kind", kind); ("peer", peer) ]
-                        ~begin_us
-                        ~dur_us:(Mcobs.now_us () -. begin_us)
-                        ();
-                      harvested := Mcobs.drain_trace trace;
-                      (* periodically sweep spans recorded outside any
-                         trace so a long-lived daemon's buffers stay
-                         bounded without a coordinated reset *)
-                      if Atomic.fetch_and_add req_seq 1 land 0xff = 0xff
-                      then ignore (Mcobs.drain_trace ""))
-                    (fun () ->
-                      Mcobs.set_trace trace;
-                      let r = work t.session in
-                      cache_hits :=
-                        (Mcheck_api.Session.stats t.session)
-                          .Mcheck_api.Session.cache_hits - hits0;
-                      r)))
-        with
-        | (report : Mcheck_api.report) ->
-          Mcobs.count "serve.check.ok";
-          outcome := Robust.to_string report.Mcheck_api.r_outcome;
-          findings := report.Mcheck_api.r_findings;
-          let ropts = render_opts opts in
-          let diags = Mcheck_api.report_diags report in
+          let result =
+            try
+              Ok
+                (Mcobs.with_span "serve.check" (fun () ->
+                     locked t.session_mu (fun () ->
+                         Mctel.Metrics.add m_queue (-1);
+                         (* the ambient trace context attributes every
+                            span the check records — across the session
+                            and the Mcd worker domains — to this request;
+                            session_mu is what makes the process-global
+                            context sound *)
+                         Fun.protect
+                           ~finally:(fun () ->
+                             Mcobs.set_trace "";
+                             Mcobs.record_span ~trace ~name:"serve.request"
+                               ~args:[ ("kind", kind); ("peer", peer) ]
+                               ~begin_us
+                               ~dur_us:(Mcobs.now_us () -. begin_us)
+                               ();
+                             harvested := Mcobs.drain_trace trace;
+                             (* periodically sweep spans recorded outside
+                                any trace so a long-lived daemon's buffers
+                                stay bounded without a coordinated reset *)
+                             if
+                               Atomic.fetch_and_add req_seq 1 land 0xff
+                               = 0xff
+                             then ignore (Mcobs.drain_trace ""))
+                           (fun () ->
+                             Mcobs.set_trace trace;
+                             work t.session))))
+            with exn -> Error exn
+          in
+          (match result with
+          | Ok (report : Mcheck_api.report) ->
+            Mctel.Metrics.inc m_checks_ok;
+            (match report.Mcheck_api.r_sched with
+            | Some s -> cache_hits := s.Mcd.cache_hits
+            | None -> ());
+            outcome := Robust.to_string report.Mcheck_api.r_outcome;
+            findings := report.Mcheck_api.r_findings
+          | Error (Mcheck_api.Robust_exit out) ->
+            outcome := Robust.to_string out
+          | Error _ ->
+            (* the per-request fault barrier: a poisoned request
+               degrades to an error frame, never kills the daemon *)
+            Mctel.Metrics.inc m_faults;
+            outcome := "fault");
+          let diags, final = Worker.check_replies opts result in
           diags_n := List.length diags;
-          List.iter
-            (fun (d : Diag.t) ->
-              send_counted
-                (Proto.R_diag
-                   {
-                     Proto.d_checker = d.Diag.checker;
-                     d_severity = Diag.severity_string d.Diag.severity;
-                     d_internal = Robust.is_internal d;
-                     d_text = Mcheck_api.render_diag ropts d;
-                   }))
-            diags;
-          send_counted
-            (Proto.R_done
-               {
-                 rd_exit = Robust.exit_code report.Mcheck_api.r_outcome;
-                 rd_findings = report.Mcheck_api.r_findings;
-                 rd_diags = List.length diags;
-               })
-        | exception Mcheck_api.Robust_exit out ->
-          (* strict-mode input failure: the daemon printed the reason on
-             its stderr, the wire carries the exit code *)
-          outcome := Robust.to_string out;
-          send_counted
-            (Proto.R_done
-               {
-                 rd_exit = Robust.exit_code out;
-                 rd_findings = 0;
-                 rd_diags = 0;
-               })
-        | exception exn ->
-          (* the per-request fault barrier: a poisoned request degrades
-             to an error frame, never kills the daemon *)
-          locked t.mu (fun () -> t.errors <- t.errors + 1);
-          Mcobs.count "serve.check.fault";
-          Mctel.Metrics.inc m_faults;
-          outcome := "fault";
-          send_counted (Proto.R_error (Engine.describe_fault exn)))
+          List.iter send_counted diags;
+          send_counted final)
 
 (* control requests get the same accounting as checks — a trace id,
    the latency histogram, and an access-log line — without the
@@ -649,14 +659,14 @@ let handle_request t fd ~peer ~bytes_in req =
     answer t fd ~peer ~kind:"flight" ~bytes_in
       (Proto.R_text (Mctel.Flight.dump_json t.flight))
   | Proto.Drain ->
-    Mcobs.count "serve.drain";
+    Mctel.Metrics.inc m_drains;
     initiate_drain t;
     answer t fd ~peer ~kind:"drain" ~bytes_in Proto.R_ok
   | Proto.Reload -> (
-    Mcobs.count "serve.reload";
+    Mctel.Metrics.inc m_reloads;
     match build_session t.cfg with
     | Error msg ->
-      locked t.mu (fun () -> t.errors <- t.errors + 1);
+      Mctel.Metrics.inc m_reload_failures;
       answer t fd ~peer ~kind:"reload" ~bytes_in
         (Proto.R_error ("reload failed: " ^ msg))
     | Ok fresh ->
@@ -695,6 +705,13 @@ let peer_string fd =
     Printf.sprintf "%s:%d" (Unix.string_of_inet_addr ip) port
   | exception _ -> "unknown"
 
+let close_conn t fd =
+  (try Unix.close fd with _ -> ());
+  locked t.mu (fun () ->
+      t.conns <- t.conns - 1;
+      Mctel.Metrics.set m_conns t.conns;
+      Condition.broadcast t.cond)
+
 let handle_conn t fd =
   (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.cfg.idle_timeout
    with _ -> ());
@@ -711,18 +728,15 @@ let handle_conn t fd =
     | Error msg ->
       (* framing is broken; answer once and hang up *)
       (try send fd (Proto.R_error ("protocol error: " ^ msg)) with _ -> ());
-      Mctel.Metrics.inc m_proto_errors;
-      locked t.mu (fun () -> t.errors <- t.errors + 1)
+      Mctel.Metrics.inc m_proto_errors
     | Ok payload -> (
       let bytes_in = Proto.header_len + String.length payload in
       match Proto.decode_request payload with
       | Error msg ->
         (try send fd (Proto.R_error ("protocol error: " ^ msg))
          with _ -> ());
-        Mctel.Metrics.inc m_proto_errors;
-        locked t.mu (fun () -> t.errors <- t.errors + 1)
+        Mctel.Metrics.inc m_proto_errors
       | Ok req -> (
-        Mcobs.count "serve.request";
         match handle_request t fd ~peer ~bytes_in req with
         | () -> loop ()
         | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _)
@@ -735,12 +749,7 @@ let handle_conn t fd =
           ()))
   in
   Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close fd with _ -> ());
-      locked t.mu (fun () ->
-          t.conns <- t.conns - 1;
-          Mctel.Metrics.set m_conns t.conns;
-          Condition.broadcast t.cond))
+    ~finally:(fun () -> close_conn t fd)
     loop
 
 (* A connection accepted mid-drain still has its one request read: a
@@ -763,11 +772,7 @@ let refuse_conn t fd =
        | _ -> refuse ())
      | Error _ -> refuse ()
    with _ -> ());
-  (try Unix.close fd with _ -> ());
-  locked t.mu (fun () ->
-      t.conns <- t.conns - 1;
-      Mctel.Metrics.set m_conns t.conns;
-      Condition.broadcast t.cond)
+  close_conn t fd
 
 (* ------------------------------------------------------------------ *)
 (* Metrics exposition                                                  *)
@@ -911,4 +916,4 @@ let run t =
   locked t.session_mu (fun () -> Mcheck_api.Session.close t.session);
   Mctel.Accesslog.close t.access;
   Mcobs.logf Mcobs.Normal "mcheckd: drained, %d request(s) served"
-    t.requests
+    (Mctel.Metrics.counter_value m_requests)

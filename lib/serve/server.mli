@@ -104,18 +104,11 @@ val supervisor : t -> Mcsup.t option
     kill victims here *)
 
 val stats_text : t -> string
-(** the [Stats S_text] reply: server counters plus
-    {!Mcheck_api.Session} statistics *)
+(** the [Stats S_text] reply: daemon and session counts, every one read
+    from one {!Mcmetrics} snapshot — the numbers [/metrics] shows *)
 
 val stats_json : t -> string
-(** the [Stats S_json] reply: the same counters as one JSON object *)
-
-val inflight : t -> int
-(** admitted check requests not yet answered (drain-under-load tests
-    observe this) *)
-
-val access_log : t -> Mctel.Accesslog.t
-(** the daemon's access log (tests and drivers read counters off it) *)
+(** the [Stats S_json] reply: the same numbers as one JSON object *)
 
 val flight_recorder : t -> Mctel.Flight.t
 

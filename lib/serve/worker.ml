@@ -57,7 +57,7 @@ let codec =
     cd_class =
       (fun payload ->
         match Proto.decode_response payload with
-        | Ok (Proto.R_diag _) -> Mcsup.More
+        | Ok (Proto.R_diag _ | Proto.R_counters _) -> Mcsup.More
         | Ok _ -> Mcsup.Final
         | Error _ -> Mcsup.Garbage);
     cd_split = Some Proto.split_frame;
@@ -148,40 +148,62 @@ let flush_out () =
 let reply resp =
   Buffer.add_string out_buf (Proto.frame (Proto.encode_response resp));
   match resp with
-  | Proto.R_diag _ -> if Buffer.length out_buf >= out_flush_bytes then flush_out ()
+  | Proto.R_diag _ | Proto.R_counters _ ->
+    if Buffer.length out_buf >= out_flush_bytes then flush_out ()
   | _ -> flush_out ()
 
-(* exactly Server.run_check's frame generation: the supervisor forwards
-   these payloads verbatim, so any divergence here is a wire-visible
-   byte difference the differential oracle would catch *)
-let run_and_reply opts work =
-  match work () with
-  | (report : Mcheck_api.report) ->
+(* The reply to a check, shared by both dispatch modes so a worker's
+   frames, which the supervisor forwards verbatim, are byte-identical
+   to in-process dispatch *)
+let check_replies opts = function
+  | Ok (report : Mcheck_api.report) ->
     let ropts = render_opts opts in
     let diags = Mcheck_api.report_diags report in
-    List.iter
-      (fun (d : Diag.t) ->
-        reply
-          (Proto.R_diag
-             {
-               Proto.d_checker = d.Diag.checker;
-               d_severity = Diag.severity_string d.Diag.severity;
-               d_internal = Robust.is_internal d;
-               d_text = Mcheck_api.render_diag ropts d;
-             }))
-      diags;
-    reply
-      (Proto.R_done
-         {
-           rd_exit = Robust.exit_code report.Mcheck_api.r_outcome;
-           rd_findings = report.Mcheck_api.r_findings;
-           rd_diags = List.length diags;
-         })
-  | exception Mcheck_api.Robust_exit out ->
-    reply
-      (Proto.R_done
-         { rd_exit = Robust.exit_code out; rd_findings = 0; rd_diags = 0 })
-  | exception exn -> reply (Proto.R_error (Engine.describe_fault exn))
+    ( List.map
+        (fun (d : Diag.t) ->
+          Proto.R_diag
+            {
+              Proto.d_checker = d.Diag.checker;
+              d_severity = Diag.severity_string d.Diag.severity;
+              d_internal = Robust.is_internal d;
+              d_text = Mcheck_api.render_diag ropts d;
+            })
+        diags,
+      Proto.R_done
+        {
+          rd_exit = Robust.exit_code report.Mcheck_api.r_outcome;
+          rd_findings = report.Mcheck_api.r_findings;
+          rd_diags = List.length diags;
+        } )
+  | Error (Mcheck_api.Robust_exit out) ->
+    (* strict-mode input failure: the reason went to stderr, the wire
+       carries the exit code *)
+    ( [],
+      Proto.R_done
+        { rd_exit = Robust.exit_code out; rd_findings = 0; rd_diags = 0 } )
+  | Error exn -> ([], Proto.R_error (Engine.describe_fault exn))
+
+(* The registry's counters as of the last report: each check's final
+   frame is preceded by the counters that rose since, which the daemon
+   adds to its own registry. *)
+let reported = ref []
+
+let run_and_reply opts work =
+  let result =
+    try Ok (work ()) with
+    | Out_of_memory ->
+      (* sweep the garbage that hit the RLIMIT_AS cap now, or the next
+         allocation fails too — in a minor GC, fatally *)
+      Gc.full_major ();
+      Error Out_of_memory
+    | exn -> Error exn
+  in
+  let diags, final = check_replies opts result in
+  List.iter reply diags;
+  let now = Mcmetrics.counters (Mcmetrics.snapshot ()) in
+  reply (Proto.R_counters (Mcmetrics.counter_deltas ~before:!reported now));
+  reported := now;
+  reply final
 
 let handle_request wc session req =
   match req with

@@ -3,12 +3,12 @@
     [Mcsup] is protocol-agnostic; this module supplies the [Proto]
     codec, the worker-process main loop, and the init-frame
     configuration record the supervisor ships to each fresh worker.
-    The worker mirrors {!Server}'s response generation exactly —
-    [R_diag] frames rendered with {!Mcheck_api.render_diag}, then
-    [R_done]; strict-mode input failures as [R_done]; the fault
-    barrier as [R_error] — so the supervisor can forward its frames to
-    the client verbatim and stay byte-identical to in-process
-    dispatch. *)
+    Worker and {!Server} build their replies with the one
+    {!check_replies}, so the supervisor can forward a worker's frames to
+    the client verbatim and stay byte-identical to in-process dispatch.
+    Before its final frame a worker sends [R_counters]: the registry
+    counters that rose while it served the request, which the daemon
+    adds to its own registry instead of forwarding. *)
 
 val env_key : string
 (** the environment gate ([MCSUP_WORKER]) that turns a re-exec of the
@@ -36,8 +36,17 @@ val default_wconfig : wconfig
 (** jobs 1, incremental, non-strict, no budget, no limits, no chaos *)
 
 val codec : Mcsup.codec
-(** [Proto] framing: [R_diag] is [More], every other response is
-    [Final], an undecodable payload is [Garbage] *)
+(** [Proto] framing: [R_diag] and [R_counters] are [More], every other
+    response is [Final], an undecodable payload is [Garbage] *)
+
+val check_replies :
+  Proto.check_opts ->
+  (Mcheck_api.report, exn) result ->
+  Proto.response list * Proto.response
+(** the reply to a check — one [R_diag] per diagnostic, then the final
+    frame: [R_done] for a report or a strict-mode [Robust_exit],
+    [R_error] for any other exception (the fault barrier).  Both
+    dispatch modes send exactly this. *)
 
 val pool_config :
   ?name:string -> size:int -> wall_ms:float option -> wconfig -> Mcsup.config

@@ -37,207 +37,11 @@ module Trace = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Live metrics registry                                               *)
+(* Live metrics registry: the process's one store, kept in lib/obs so  *)
+(* every layer below telemetry can register handles                   *)
 (* ------------------------------------------------------------------ *)
 
-module Metrics = struct
-  type counter = int Atomic.t
-  type gauge = int Atomic.t
-
-  type hist = {
-    h_mu : Mutex.t;
-    mutable h_count : int;
-    mutable h_sum_ms : float;
-    mutable h_max_ms : float;
-    h_buckets : int array;  (* length hist_bounds_ms + 1; last overflows *)
-  }
-
-  type metric = M_counter of counter | M_gauge of gauge | M_hist of hist
-
-  let registry : (string, string * metric) Hashtbl.t = Hashtbl.create 64
-  let registry_mu = Mutex.create ()
-
-  let locked f =
-    Mutex.lock registry_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock registry_mu) f
-
-  let register name help make match_kind =
-    locked (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some (_, m) -> (
-          match match_kind m with
-          | Some h -> h
-          | None ->
-            invalid_arg
-              (Printf.sprintf "Mctel.Metrics: %s registered as another kind"
-                 name))
-        | None ->
-          let h = make () in
-          Hashtbl.add registry name (help, h);
-          (match match_kind h with Some v -> v | None -> assert false))
-
-  let counter ?(help = "") name =
-    register name help
-      (fun () -> M_counter (Atomic.make 0))
-      (function M_counter c -> Some c | _ -> None)
-
-  let gauge ?(help = "") name =
-    register name help
-      (fun () -> M_gauge (Atomic.make 0))
-      (function M_gauge g -> Some g | _ -> None)
-
-  let make_hist () =
-    {
-      h_mu = Mutex.create ();
-      h_count = 0;
-      h_sum_ms = 0.;
-      h_max_ms = 0.;
-      h_buckets = Array.make (Array.length Mcobs.hist_bounds_ms + 1) 0;
-    }
-
-  let hist ?(help = "") name =
-    register name help
-      (fun () -> M_hist (make_hist ()))
-      (function M_hist h -> Some h | _ -> None)
-
-  (* One series of a labeled family.  The registry key carries the
-     rendered label pair (["name{key=\"value\"}"]); exposition groups
-     HELP/TYPE lines under the family (base) name so Prometheus sees
-     one family with several series. *)
-  let series_name name (k, v) = Printf.sprintf "%s{%s=%S}" name k v
-
-  let counter_labeled ?(help = "") name ~label =
-    register (series_name name label) help
-      (fun () -> M_counter (Atomic.make 0))
-      (function M_counter c -> Some c | _ -> None)
-
-  let base_of name =
-    match String.index_opt name '{' with
-    | Some i -> String.sub name 0 i
-    | None -> name
-
-  let inc ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
-  let counter_value c = Atomic.get c
-  let set g v = Atomic.set g v
-  let add g by = ignore (Atomic.fetch_and_add g by)
-  let gauge_value g = Atomic.get g
-
-  let observe h ms =
-    Mutex.lock h.h_mu;
-    h.h_count <- h.h_count + 1;
-    h.h_sum_ms <- h.h_sum_ms +. ms;
-    if ms > h.h_max_ms then h.h_max_ms <- ms;
-    let bounds = Mcobs.hist_bounds_ms in
-    let rec bucket i =
-      if i >= Array.length bounds || ms <= bounds.(i) then i else bucket (i + 1)
-    in
-    let i = bucket 0 in
-    h.h_buckets.(i) <- h.h_buckets.(i) + 1;
-    Mutex.unlock h.h_mu
-
-  let hist_snapshot h : Mcobs.hist_snapshot =
-    Mutex.lock h.h_mu;
-    let s =
-      {
-        Mcobs.count = h.h_count;
-        sum_ms = h.h_sum_ms;
-        max_ms = h.h_max_ms;
-        buckets = Array.copy h.h_buckets;
-      }
-    in
-    Mutex.unlock h.h_mu;
-    s
-
-  (* a consistent-enough listing: names sorted, values read after the
-     registry lock is dropped (each read is individually atomic) *)
-  let listing () =
-    locked (fun () ->
-        Hashtbl.fold (fun name (help, m) acc -> (name, help, m) :: acc)
-          registry [])
-    |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
-
-  let to_prometheus () =
-    let b = Buffer.create 1024 in
-    let last_base = ref "" in
-    List.iter
-      (fun (name, help, m) ->
-        let base = base_of name in
-        let head kind =
-          if !last_base <> base then begin
-            if help <> "" then Printf.bprintf b "# HELP %s %s\n" base help;
-            Printf.bprintf b "# TYPE %s %s\n" base kind;
-            last_base := base
-          end
-        in
-        match m with
-        | M_counter c ->
-          head "counter";
-          Printf.bprintf b "%s %d\n" name (Atomic.get c)
-        | M_gauge g ->
-          head "gauge";
-          Printf.bprintf b "%s %d\n" name (Atomic.get g)
-        | M_hist h ->
-          let s = hist_snapshot h in
-          head "histogram";
-          let cum = ref 0 in
-          Array.iteri
-            (fun i n ->
-              cum := !cum + n;
-              if i < Array.length Mcobs.hist_bounds_ms then
-                Printf.bprintf b "%s_bucket{le=\"%g\"} %d\n" name
-                  Mcobs.hist_bounds_ms.(i) !cum)
-            s.Mcobs.buckets;
-          Printf.bprintf b "%s_bucket{le=\"+Inf\"} %d\n" name s.Mcobs.count;
-          Printf.bprintf b "%s_sum %.6f\n" name s.Mcobs.sum_ms;
-          Printf.bprintf b "%s_count %d\n" name s.Mcobs.count)
-      (listing ());
-    Buffer.contents b
-
-  let to_json () =
-    let b = Buffer.create 1024 in
-    Buffer.add_char b '{';
-    let first = ref true in
-    List.iter
-      (fun (name, help, m) ->
-        if !first then first := false else Buffer.add_char b ',';
-        Printf.bprintf b "\n  \"%s\": {" (Mcobs.json_escape name);
-        if help <> "" then
-          Printf.bprintf b "\"help\":\"%s\"," (Mcobs.json_escape help);
-        (match m with
-        | M_counter c ->
-          Printf.bprintf b "\"type\":\"counter\",\"value\":%d" (Atomic.get c)
-        | M_gauge g ->
-          Printf.bprintf b "\"type\":\"gauge\",\"value\":%d" (Atomic.get g)
-        | M_hist h ->
-          let s = hist_snapshot h in
-          let q p =
-            Option.value ~default:0. (Mcobs.quantile_hist s p)
-          in
-          Printf.bprintf b
-            "\"type\":\"histogram\",\"count\":%d,\"sum_ms\":%.3f,\"max_ms\":%.3f,\"p50_ms\":%.3f,\"p90_ms\":%.3f,\"p99_ms\":%.3f,\"buckets\":[%s]"
-            s.Mcobs.count s.Mcobs.sum_ms s.Mcobs.max_ms (q 0.5) (q 0.9)
-            (q 0.99)
-            (String.concat ","
-               (Array.to_list (Array.map string_of_int s.Mcobs.buckets))));
-        Buffer.add_char b '}')
-      (listing ());
-    Buffer.add_string b "\n}\n";
-    Buffer.contents b
-
-  let reset_all () =
-    List.iter
-      (fun (_, _, m) ->
-        match m with
-        | M_counter c | M_gauge c -> Atomic.set c 0
-        | M_hist h ->
-          Mutex.lock h.h_mu;
-          h.h_count <- 0;
-          h.h_sum_ms <- 0.;
-          h.h_max_ms <- 0.;
-          Array.fill h.h_buckets 0 (Array.length h.h_buckets) 0;
-          Mutex.unlock h.h_mu)
-      (listing ())
-end
+module Metrics = Mcmetrics
 
 (* ------------------------------------------------------------------ *)
 (* Structured access log                                               *)
@@ -257,6 +61,14 @@ module Accesslog = struct
     al_cache_hits : int;
   }
 
+  let m_lines =
+    Metrics.counter ~help:"access-log lines written"
+      "mcheckd_access_log_lines_total"
+
+  let m_dropped =
+    Metrics.counter ~help:"access-log entries dropped on a full queue"
+      "mcheckd_access_log_dropped_total"
+
   (* The request path only formats nothing and writes nothing: [log]
      enqueues the entry under the mutex and a dedicated writer thread
      does the JSON formatting, the write, and the flush.  The queue is
@@ -268,9 +80,7 @@ module Accesslog = struct
     a_sample : int;
     a_queue : entry Queue.t;
     a_limit : int;
-    mutable a_dropped : int;
     mutable a_seq : int;
-    mutable a_written : int;
     mutable a_closing : bool;
     mutable a_oc : out_channel option;
     a_reopen : bool Atomic.t;
@@ -327,8 +137,8 @@ module Accesslog = struct
           batch;
         if !wrote > 0 then flush oc
       with Sys_error _ -> ()));
-    Mutex.lock t.a_mu;
-    t.a_written <- t.a_written + !wrote
+    Metrics.inc ~by:!wrote m_lines;
+    Mutex.lock t.a_mu
 
   (* the writer ticks rather than waking per entry: a per-[log]
      [Condition.signal] would bounce the runtime lock between the
@@ -364,9 +174,7 @@ module Accesslog = struct
         a_sample = max 1 sample;
         a_queue = Queue.create ();
         a_limit = 4096;
-        a_dropped = 0;
         a_seq = 0;
-        a_written = 0;
         a_closing = false;
         a_oc = Option.bind path open_channel;
         a_reopen = Atomic.make false;
@@ -389,7 +197,7 @@ module Accesslog = struct
           t.a_seq <- t.a_seq + 1;
           if t.a_seq mod t.a_sample <> 0 then false
           else if Queue.length t.a_queue >= t.a_limit then begin
-            t.a_dropped <- t.a_dropped + 1;
+            Metrics.inc m_dropped;
             false
           end
           else begin
@@ -404,18 +212,6 @@ module Accesslog = struct
   let request_reopen t = Atomic.set t.a_reopen true
 
   let reopen t = Atomic.set t.a_reopen true
-
-  let lines_written t =
-    Mutex.lock t.a_mu;
-    let n = t.a_written in
-    Mutex.unlock t.a_mu;
-    n
-
-  let dropped t =
-    Mutex.lock t.a_mu;
-    let n = t.a_dropped in
-    Mutex.unlock t.a_mu;
-    n
 
   let path t = t.a_path
 
@@ -452,8 +248,11 @@ module Flight = struct
     f_threshold_ms : float;
     f_recent : entry Queue.t;
     f_notable : entry Queue.t;
-    mutable f_retained : int;
   }
+
+  let m_notable =
+    Metrics.counter ~help:"flight-recorder entries retained as notable"
+      "mcheckd_flight_notable_total"
 
   let create ?(capacity = 64) ?(threshold_ms = 250.) () =
     {
@@ -462,7 +261,6 @@ module Flight = struct
       f_threshold_ms = threshold_ms;
       f_recent = Queue.create ();
       f_notable = Queue.create ();
-      f_retained = 0;
     }
 
   (* a clean verdict is unremarkable; everything else — slow, faulted,
@@ -494,11 +292,9 @@ module Flight = struct
     in
     Mutex.lock t.f_mu;
     push_bounded t t.f_recent e;
-    if notable then begin
-      t.f_retained <- t.f_retained + 1;
-      push_bounded t t.f_notable e
-    end;
-    Mutex.unlock t.f_mu
+    if notable then push_bounded t t.f_notable e;
+    Mutex.unlock t.f_mu;
+    if notable then Metrics.inc m_notable
 
   let entries t =
     Mutex.lock t.f_mu;
@@ -508,12 +304,6 @@ module Flight = struct
     (* the recent ring re-lists a still-recent notable entry; drop the
        duplicate by physical identity *)
     notable @ List.filter (fun e -> not (List.memq e notable)) recent
-
-  let retained t =
-    Mutex.lock t.f_mu;
-    let n = t.f_retained in
-    Mutex.unlock t.f_mu;
-    n
 
   let threshold_ms t = t.f_threshold_ms
 
@@ -543,7 +333,7 @@ module Flight = struct
 
   let dump_json t =
     Printf.sprintf "{\"threshold_ms\":%.1f,\"retained\":%d,\"entries\":[%s]}\n"
-      t.f_threshold_ms (retained t)
+      t.f_threshold_ms (Metrics.counter_value m_notable)
       (String.concat ",\n" (List.map entry_json (entries t)))
 
   let clear t =

@@ -9,9 +9,9 @@
     - {!Trace}: request trace ids, minted by the client (or the daemon
       when absent) and carried end-to-end through {!Mcobs}'s ambient
       span context;
-    - {!Metrics}: an always-on registry of counters, gauges, and
-      latency histograms, continuously aggregated and exposed as
-      Prometheus text or JSON;
+    - {!Metrics}: the always-on {!Mcmetrics} registry of counters,
+      gauges, and latency histograms, exposed as Prometheus text or
+      JSON;
     - {!Accesslog}: a structured JSONL access log, one line per
       request, with sampling and SIGHUP-safe reopen;
     - {!Flight}: a bounded flight recorder of recent request span
@@ -35,54 +35,9 @@ end
 
 (** {1 Live metrics registry} *)
 
-module Metrics : sig
-  type counter
-  type gauge
-  type hist
-
-  (** Registration is idempotent by name — looking up an existing
-      metric of the same kind returns the same handle, so modules can
-      declare their handles at init in any order.
-      @raise Invalid_argument if the name is registered as another kind *)
-
-  val counter : ?help:string -> string -> counter
-  val gauge : ?help:string -> string -> gauge
-
-  val hist : ?help:string -> string -> hist
-  (** log-scale latency histogram over {!Mcobs.hist_bounds_ms} (ms) *)
-
-  val counter_labeled : ?help:string -> string -> label:string * string -> counter
-  (** one series of a labeled counter family:
-      [counter_labeled "kills_total" ~label:("sig", "term")] registers
-      the series [kills_total{sig="term"}].  Exposition emits HELP/TYPE
-      once per family (the name before ['{']) so Prometheus scrapes the
-      series as one family *)
-
-  val inc : ?by:int -> counter -> unit
-  val counter_value : counter -> int
-
-  val set : gauge -> int -> unit
-  val add : gauge -> int -> unit
-  val gauge_value : gauge -> int
-
-  val observe : hist -> float -> unit
-  (** add a sample in milliseconds *)
-
-  val hist_snapshot : hist -> Mcobs.hist_snapshot
-
-  val to_prometheus : unit -> string
-  (** Prometheus text exposition (version 0.0.4): HELP/TYPE comments,
-      cumulative [_bucket{le=...}] series plus [_sum]/[_count] for
-      histograms, sorted by metric name *)
-
-  val to_json : unit -> string
-  (** one JSON object keyed by metric name; histograms carry count,
-      sum, max, buckets, and interpolated p50/p90/p99 *)
-
-  val reset_all : unit -> unit
-  (** zero every registered metric (benchmarks isolate phases with
-      this; a serving daemon never calls it) *)
-end
+module Metrics = Mcmetrics
+(** the process's one counter/gauge/histogram registry, rendered as
+    Prometheus text or JSON *)
 
 (** {1 Structured access log} *)
 
@@ -116,7 +71,9 @@ module Accesslog : sig
   (** hand one entry to the writer thread (it lands as a flushed JSONL
       line, so tailing works); [false] when disabled, sampled out, or
       dropped because the bounded queue is full — requests are never
-      stalled on the filesystem *)
+      stalled on the filesystem.  Written lines count in
+      [mcheckd_access_log_lines_total], drops in
+      [mcheckd_access_log_dropped_total]. *)
 
   val request_reopen : t -> unit
   (** async-signal-safe: mark the log for reopen; the writer closes
@@ -125,13 +82,6 @@ module Accesslog : sig
 
   val reopen : t -> unit
   (** mark for reopen and wake the writer now (from a normal thread) *)
-
-  val lines_written : t -> int
-  (** lines the writer has flushed to disk (trails {!log} by the queue
-      depth; {!close} drains first, so it is exact afterwards) *)
-
-  val dropped : t -> int
-  (** entries discarded because the writer queue was full *)
 
   val path : t -> string option
   val close : t -> unit
@@ -176,14 +126,12 @@ module Flight : sig
   val entries : t -> entry list
   (** notable entries then recent ones, oldest first, deduplicated *)
 
-  val retained : t -> int
-  (** how many notable entries the tail-based rule has kept (total
-      over the recorder's lifetime, not just those still in the ring) *)
-
   val threshold_ms : t -> float
   val dump_json : t -> string
-  (** [{"threshold_ms":...,"entries":[...]}] — each entry carries its
-      span tree as JSONL-style span objects *)
+  (** [{"threshold_ms":...,"retained":...,"entries":[...]}] — each entry
+      carries its span tree as JSONL-style span objects; [retained] is
+      the [mcheckd_flight_notable_total] counter, which every notable
+      entry bumps *)
 
   val clear : t -> unit
 end

@@ -22,6 +22,14 @@ let with_session ?config f =
   let s = Mcheck_api.Session.create ?config () in
   Fun.protect ~finally:(fun () -> Mcheck_api.Session.close s) (fun () -> f s)
 
+(* how much each named registry series rose while [f] ran — sessions
+   keep no tallies of their own *)
+let registry_deltas names f =
+  let read () = List.map (Mcmetrics.int_value (Mcmetrics.snapshot ())) names in
+  let before = read () in
+  f ();
+  List.map2 ( - ) (read ()) before
+
 let write_tmp name contents =
   let path = Filename.concat (Filename.get_temp_dir_name ()) name in
   Mcheck_api.write_file path contents;
@@ -127,21 +135,28 @@ let session_cases =
               (all.Mcheck_api.r_findings > 0);
             Alcotest.(check int) "override filters it" 0
               only.Mcheck_api.r_findings));
-    t "stats count requests, files, findings" `Quick (fun () ->
+    t "registry counts requests, files, findings" `Quick (fun () ->
         with_session (fun s ->
-            ignore
-              (Mcheck_api.Session.check_buffer s ~name:"b.c"
-                 ~contents:buggy_src);
-            ignore
-              (Mcheck_api.Session.check_buffer s ~name:"c.c"
-                 ~contents:clean_src);
-            let st = Mcheck_api.Session.stats s in
-            Alcotest.(check int) "requests" 2
-              st.Mcheck_api.Session.requests;
-            Alcotest.(check int) "files" 2
-              st.Mcheck_api.Session.files_checked;
-            Alcotest.(check bool) "findings counted" true
-              (st.Mcheck_api.Session.findings > 0)));
+            match
+              registry_deltas
+                [
+                  "mcheck_session_requests_total";
+                  "mcheck_files_checked_total";
+                  "mcheck_findings_total";
+                ]
+                (fun () ->
+                  ignore
+                    (Mcheck_api.Session.check_buffer s ~name:"b.c"
+                       ~contents:buggy_src);
+                  ignore
+                    (Mcheck_api.Session.check_buffer s ~name:"c.c"
+                       ~contents:clean_src))
+            with
+            | [ requests; files; findings ] ->
+              Alcotest.(check int) "requests" 2 requests;
+              Alcotest.(check int) "files" 2 files;
+              Alcotest.(check bool) "findings counted" true (findings > 0)
+            | _ -> assert false));
     t "incremental memo answers identical re-checks" `Quick (fun () ->
         let config =
           { Mcheck_api.default_config with incremental = true }
@@ -151,18 +166,18 @@ let session_cases =
               Mcheck_api.Session.check_buffer s ~name:"b.c"
                 ~contents:buggy_src
             in
-            let hits0 =
-              (Mcheck_api.Session.stats s).Mcheck_api.Session.cache_hits
+            let r2 = ref r1 in
+            let hits =
+              registry_deltas
+                [ "mcheck_memo_hits_total"; "mcheck_unit_cache_hits_total" ]
+                (fun () ->
+                  r2 :=
+                    Mcheck_api.Session.check_buffer s ~name:"b.c"
+                      ~contents:buggy_src)
             in
-            let r2 =
-              Mcheck_api.Session.check_buffer s ~name:"b.c"
-                ~contents:buggy_src
-            in
-            let hits1 =
-              (Mcheck_api.Session.stats s).Mcheck_api.Session.cache_hits
-            in
-            Alcotest.(check string) "identical" (render r1) (render r2);
-            Alcotest.(check bool) "memo hit recorded" true (hits1 > hits0);
+            Alcotest.(check string) "identical" (render r1) (render !r2);
+            (* a memo hit is not a unit-cache hit *)
+            Alcotest.(check (list int)) "memo hit recorded" [ 1; 0 ] hits;
             (* different bytes must miss *)
             let r3 =
               Mcheck_api.Session.check_buffer s ~name:"b.c"

@@ -172,15 +172,19 @@ let cases =
             "void f(void) { if (a) { x = 1; } if (b) { y = 1; } close_it(); }"
         in
         Alcotest.(check int) "one site" 1 (List.length diags));
-    t "engine stats count visits" `Quick (fun () ->
-        let stats = Engine.fresh_stats () in
+    t "engine counters count visits" `Quick (fun () ->
+        let counter = Mcmetrics.counter in
+        let nodes = counter "mcheck_engine_nodes_visited_total"
+        and events = counter "mcheck_engine_events_matched_total" in
+        let nodes0 = Mcmetrics.counter_value nodes
+        and events0 = Mcmetrics.counter_value events in
         ignore
-          (Engine.check ~stats oc_sm
+          (Engine.check oc_sm
              (`Func (func_of "void f(void) { open_it(); close_it(); }")));
         Alcotest.(check bool) "visited nodes" true
-          (!stats.Engine.nodes_visited > 0);
+          (Mcmetrics.counter_value nodes - nodes0 > 0);
         Alcotest.(check bool) "matched events" true
-          (!stats.Engine.events_matched >= 2));
+          (Mcmetrics.counter_value events - events0 >= 2));
   ]
 
 let suite = ("engine", cases)

@@ -1,5 +1,6 @@
-(** The Mcobs observability layer: span nesting discipline across
-    domains, exporter output validity, counter-merge algebra, and the
+(** The observability layer: Mcobs span nesting discipline across
+    domains, exporter output validity, the Mcmetrics registry's exact
+    counting across domains and its quantile estimator, and the
     --explain witness paths. *)
 
 let t = Alcotest.test_case
@@ -117,16 +118,10 @@ let nesting_cases =
           ~finally:(fun () -> Mcobs.set_enabled was)
           (fun () ->
             let r = Mcobs.with_span "ghost" (fun () -> 41 + 1) in
-            Mcobs.count "ghost";
-            Mcobs.observe "ghost" 1.0;
             Alcotest.(check int) "thunk value" 42 r;
             let snap = Mcobs.snapshot () in
             Alcotest.(check int) "no spans" 0
-              (List.length snap.Mcobs.spans);
-            Alcotest.(check int) "no counters" 0
-              (List.length snap.Mcobs.counters);
-            Alcotest.(check int) "no hists" 0
-              (List.length snap.Mcobs.hists)));
+              (List.length snap.Mcobs.spans)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -302,9 +297,7 @@ let nasty_args =
 
 let chrome_snapshot () =
   Mcobs.with_span ~args:nasty_args "outer" (fun () ->
-      Mcobs.with_span "inner" (fun () -> Mcobs.count ~by:3 "widgets"));
-  Mcobs.count "widgets";
-  Mcobs.observe "latency" 0.5;
+      Mcobs.with_span "inner" ignore);
   Mcobs.snapshot ()
 
 let check_chrome_export () =
@@ -314,7 +307,7 @@ let check_chrome_export () =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Mcobs.export_chrome_file path snap;
+          Mcobs.export_chrome_file ~counters:[ ("widgets", 4) ] path snap;
           let doc =
             match parse_json (read_file path) with
             | doc -> doc
@@ -402,44 +395,42 @@ let exporter_cases =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* counter-merge algebra                                               *)
+(* exact counting across domains                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-domain snapshot merge folds [merge_counters] pairwise in
-   whatever order the registry happens to hold the buffers, so the
-   operation must be associative and commutative. *)
+(* Registry counters are single atomics and histograms take a mutex per
+   sample, so bumps from concurrent pool domains must sum exactly — no
+   per-domain buffer to merge, no lost update. *)
+let pool_counting domains () =
+  let c = Mcmetrics.counter "test_obs_pool_bumps_total" in
+  let h = Mcmetrics.hist "test_obs_pool_samples_ms" in
+  let c0 = Mcmetrics.counter_value c in
+  let n0 = (Mcmetrics.hist_snapshot h).Mcmetrics.count in
+  let tasks =
+    Array.init 64 (fun i () ->
+        for _ = 1 to 500 do
+          Mcmetrics.inc ~by:(i + 1) c
+        done;
+        Mcmetrics.observe h 0.5)
+  in
+  ignore (Mcd_pool.run ~domains tasks);
+  Alcotest.(check int)
+    (Printf.sprintf "counter sum, %d domain(s)" domains)
+    (500 * (64 * 65 / 2))
+    (Mcmetrics.counter_value c - c0);
+  Alcotest.(check int)
+    (Printf.sprintf "histogram count, %d domain(s)" domains)
+    64
+    ((Mcmetrics.hist_snapshot h).Mcmetrics.count - n0)
 
-let counters_gen =
-  QCheck2.Gen.(
-    list_size (int_bound 8)
-      (pair (oneofl [ "a"; "b"; "c"; "hits"; "misses" ]) (int_bound 1000)))
-
-let rec sorted_by_name = function
-  | (a, _) :: ((b, _) :: _ as rest) ->
-    String.compare a b <= 0 && sorted_by_name rest
-  | _ -> true
-
-let merge_props =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:200 ~name:"merge_counters associative"
-         QCheck2.Gen.(triple counters_gen counters_gen counters_gen)
-         (fun (a, b, c) ->
-           Mcobs.merge_counters a (Mcobs.merge_counters b c)
-           = Mcobs.merge_counters (Mcobs.merge_counters a b) c));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:200 ~name:"merge_counters commutative"
-         QCheck2.Gen.(pair counters_gen counters_gen)
-         (fun (a, b) ->
-           Mcobs.merge_counters a b = Mcobs.merge_counters b a));
-    QCheck_alcotest.to_alcotest
-      (QCheck2.Test.make ~count:200 ~name:"merge_counters sorted, sums"
-         QCheck2.Gen.(pair counters_gen counters_gen)
-         (fun (a, b) ->
-           let m = Mcobs.merge_counters a b in
-           let total l = List.fold_left (fun s (_, v) -> s + v) 0 l in
-           sorted_by_name m && total m = total a + total b));
-  ]
+let pool_counting_cases =
+  List.map
+    (fun (domains, label) ->
+      t
+        (Printf.sprintf "registry counts sum exactly from %d pool %s" domains
+           label)
+        `Quick (pool_counting domains))
+    [ (1, "domain"); (2, "domains"); (4, "domains") ]
 
 (* ------------------------------------------------------------------ *)
 (* quantile estimation                                                 *)
@@ -451,13 +442,20 @@ let merge_props =
    computation selects (the overflow bucket's upper bound being the
    recorded max). *)
 
-let observe_all name samples =
-  List.iter (fun v -> Mcobs.observe name v) samples
+(* a fresh registry histogram per sample set: histograms are never
+   reset, so each property run gets its own name *)
+let hist_seq = ref 0
+
+let hist_of samples =
+  incr hist_seq;
+  let h = Mcmetrics.hist (Printf.sprintf "test_obs_quantile_%d_ms" !hist_seq) in
+  List.iter (Mcmetrics.observe h) samples;
+  Mcmetrics.hist_snapshot h
 
 (* the bucket the implementation should land in for quantile [p] of
    [samples], computed from the raw samples rather than the snapshot *)
 let reference_bucket_bounds samples p =
-  let bounds = Mcobs.hist_bounds_ms in
+  let bounds = Mcmetrics.hist_bounds_ms in
   let nb = Array.length bounds + 1 in
   let counts = Array.make nb 0 in
   let bucket_of v =
@@ -496,13 +494,7 @@ let samples_gen =
     list_size (int_range 1 40)
       (map (fun x -> 0.001 *. (1.5 ** float_of_int x)) (int_bound 45)))
 
-let quantile_of samples p =
-  Mcobs.set_enabled true;
-  Mcobs.reset ();
-  observe_all "q" samples;
-  let snap = Mcobs.snapshot () in
-  Mcobs.reset ();
-  Mcobs.quantile snap "q" p
+let quantile_of samples p = Mcmetrics.quantile (hist_of samples) p
 
 let quantile_props =
   [
@@ -511,15 +503,11 @@ let quantile_props =
          samples_gen
          (fun samples ->
            let ps = [ 0.0; 0.1; 0.25; 0.5; 0.75; 0.9; 0.99; 1.0 ] in
-           Mcobs.set_enabled true;
-           Mcobs.reset ();
-           observe_all "q" samples;
-           let snap = Mcobs.snapshot () in
-           Mcobs.reset ();
+           let h = hist_of samples in
            let qs =
              List.map
                (fun p ->
-                 match Mcobs.quantile snap "q" p with
+                 match Mcmetrics.quantile h p with
                  | Some q -> q
                  | None -> QCheck2.Test.fail_report "no estimate")
                ps
@@ -552,20 +540,14 @@ let quantile_cases =
           Alcotest.(check (float 1e-9)) "interpolated median" 0.55 q);
     t "quantile: empty and unknown histograms answer None" `Quick
       (fun () ->
-        with_tracing (fun () ->
-            let snap = Mcobs.snapshot () in
-            Alcotest.(check bool) "unknown name" true
-              (Mcobs.quantile snap "nosuch" 0.5 = None);
-            Alcotest.(check bool) "empty hist" true
-              (Mcobs.quantile_hist
-                 { Mcobs.count = 0; sum_ms = 0.; max_ms = 0.; buckets = [||] }
-                 0.5
-              = None);
-            Mcobs.observe "h" 1.0;
-            let snap = Mcobs.snapshot () in
-            Alcotest.(check bool) "p out of range" true
-              (Mcobs.quantile snap "h" 1.5 = None
-              && Mcobs.quantile snap "h" (-0.1) = None)));
+        Alcotest.(check bool) "unknown name" true
+          (Mcmetrics.hist_value (Mcmetrics.snapshot ()) "nosuch" = None);
+        Alcotest.(check bool) "empty hist" true
+          (Mcmetrics.quantile (hist_of []) 0.5 = None);
+        let h = hist_of [ 1.0 ] in
+        Alcotest.(check bool) "p out of range" true
+          (Mcmetrics.quantile h 1.5 = None
+          && Mcmetrics.quantile h (-0.1) = None));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -584,7 +566,6 @@ let trace_cases =
                     spin_us 1.0;
                     Mcobs.with_span "traced.inner" ignore));
             Mcobs.with_span "untraced" ignore;
-            Mcobs.count "survivor";
             let harvested = Mcobs.drain_trace "t-one" in
             Alcotest.(check (list string))
               "the trace's spans, ascending begin"
@@ -602,9 +583,7 @@ let trace_cases =
             let snap = Mcobs.snapshot () in
             Alcotest.(check (list string)) "untraced span survives"
               [ "untraced" ]
-              (List.map (fun sp -> sp.Mcobs.sp_name) snap.Mcobs.spans);
-            Alcotest.(check bool) "counters untouched" true
-              (List.mem_assoc "survivor" snap.Mcobs.counters)));
+              (List.map (fun sp -> sp.Mcobs.sp_name) snap.Mcobs.spans)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -694,5 +673,5 @@ let witness_cases =
 
 let suite =
   ( "obs",
-    nesting_cases @ exporter_cases @ merge_props @ quantile_props
+    nesting_cases @ exporter_cases @ pool_counting_cases @ quantile_props
     @ quantile_cases @ trace_cases @ witness_cases )

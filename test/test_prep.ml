@@ -2,7 +2,7 @@
     rendered witness paths [--explain] prints — are identical to the
     per-checker sequential path on arbitrary generated programs, and one
     fused run builds exactly one [Prep.t] per function (pinned via the
-    [prep.build] Mcobs counter). *)
+    [mcheck_prep_builds_total] registry counter). *)
 
 let t = Alcotest.test_case
 
@@ -28,9 +28,6 @@ let prop_fused_identical =
           "seed %d: fused diagnostics/witnesses differ" seed;
       true)
 
-let counter_of (snap : Mcobs.snapshot) name =
-  Option.value ~default:0 (List.assoc_opt name snap.Mcobs.counters)
-
 let build_once_tests =
   [
     t "fused run builds exactly one Prep per function" `Quick (fun () ->
@@ -40,14 +37,12 @@ let build_once_tests =
             (fun acc tu -> acc + List.length (Ast.functions tu))
             0 p.Corpus.tus
         in
-        Mcobs.set_enabled true;
-        Mcobs.reset ();
+        let builds = Mcmetrics.counter "mcheck_prep_builds_total" in
+        let before = Mcmetrics.counter_value builds in
         ignore (Registry.run_all_fused ~spec:p.Corpus.spec p.Corpus.tus);
-        let snap = Mcobs.snapshot () in
-        Mcobs.reset ();
         Alcotest.(check int)
-          "prep.build count" nfuncs
-          (counter_of snap "prep.build"));
+          "prep build count" nfuncs
+          (Mcmetrics.counter_value builds - before));
   ]
 
 let product_tests =

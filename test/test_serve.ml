@@ -87,6 +87,9 @@ let gen_response =
           small_nat;
         return Proto.R_ok;
         map (fun s -> Proto.R_error s) gen_bytes;
+        map
+          (fun l -> Proto.R_counters l)
+          (small_list (pair gen_bytes nat));
       ])
 
 let prop_request_roundtrip =
@@ -539,7 +542,8 @@ let sup_sock_seq = Atomic.make 0
 (* a daemon whose checks run in supervised worker processes; chaos
    units are only honoured when [allow_chaos] asks for them *)
 let with_sup_daemon ?(allow_chaos = false) ?(max_inflight = 64)
-    ?(wall_ms = 10_000.) f =
+    ?(wall_ms = 10_000.) ?(workers = Serve.Server.default_supervise.sv_workers)
+    f =
   let path =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -557,7 +561,8 @@ let with_sup_daemon ?(allow_chaos = false) ?(max_inflight = 64)
         Some
           {
             Serve.Server.default_supervise with
-            Serve.Server.sv_wall_ms = Some wall_ms;
+            Serve.Server.sv_workers = workers;
+            sv_wall_ms = Some wall_ms;
             sv_allow_chaos = allow_chaos;
           };
     }
@@ -821,37 +826,105 @@ let supervised_cases =
 (* Telemetry: stats formats, metrics, access log, flight recorder      *)
 (* ------------------------------------------------------------------ *)
 
+(* --stats and /metrics render one registry: after a fresh check, an
+   identical re-check (a memo hit) and an edited re-check, every --stats
+   number equals its series, and the session block counts the work
+   whether the session ran in-process or in a worker process *)
+let stats_agree ~supervised () =
+  let with_addr f =
+    if supervised then with_sup_daemon ~workers:1 (fun _ addr -> f addr)
+    else with_daemon (fun d -> f (Oracle.addr d))
+  in
+  with_addr (fun addr ->
+      with_client addr (fun c ->
+          let stats () =
+            match Client.stats_json c with
+            | Ok j -> j
+            | Error e -> Alcotest.fail (Client.err_to_string e)
+          in
+          let field j name =
+            match json_int_field j name with
+            | Some n -> n
+            | None -> Alcotest.failf "no %s field" name
+          in
+          let session_field j name =
+            match find_sub j "\"session\":" with
+            | Some i -> field (String.sub j i (String.length j - i)) name
+            | None -> Alcotest.fail "no session block"
+          in
+          let session_fields =
+            [
+              ("requests", [ "mcheck_session_requests_total" ]);
+              ("findings", [ "mcheck_findings_total" ]);
+              ("units_run", [ "mcheck_units_run_total" ]);
+              ("cache_hits", [ "mcheck_unit_cache_hits_total" ]);
+              ("memo_hits", [ "mcheck_memo_hits_total" ]);
+            ]
+          in
+          let before = stats () in
+          let check contents =
+            ignore
+              (expect_checked
+                 (Client.check_buffer c plain ~name:"agree.c" ~contents))
+          in
+          (* a non-handler function leaves the derived spec, and so the
+             unchanged handler's unit key, as it was *)
+          let edited = buggy_src ^ " int helper(int x) { return x; }" in
+          check buggy_src;
+          check buggy_src;
+          check edited;
+          (match Client.stats c with
+          | Ok s ->
+            Alcotest.(check bool) "text mentions memo hits" true
+              (contains_sub s "memo hits")
+          | Error e -> Alcotest.fail (Client.err_to_string e));
+          let j = stats () in
+          let m =
+            match Client.metrics c Proto.M_prom with
+            | Ok m -> m
+            | Error e -> Alcotest.fail (Client.err_to_string e)
+          in
+          let series names =
+            List.fold_left
+              (fun acc name ->
+                match prom_value m name with
+                | Some v -> acc + int_of_float v
+                | None -> Alcotest.failf "%s sample missing" name)
+              0 names
+          in
+          List.iter
+            (fun (name, names) ->
+              Alcotest.(check int) ("daemon " ^ name) (series names)
+                (field j name))
+            [
+              ("requests", [ "mcheckd_requests_total" ]);
+              ("refused", [ "mcheckd_refused_total"; "mcheckd_shed_total" ]);
+              ( "errors",
+                [
+                  "mcheckd_faults_total";
+                  "mcheckd_protocol_errors_total";
+                  "mcheckd_reload_failures_total";
+                ] );
+            ];
+          List.iter
+            (fun (name, names) ->
+              Alcotest.(check int) ("session " ^ name) (series names)
+                (session_field j name))
+            session_fields;
+          let rose name = session_field j name - session_field before name in
+          Alcotest.(check int) "three session checks" 3 (rose "requests");
+          Alcotest.(check int) "one memo hit" 1 (rose "memo_hits");
+          Alcotest.(check bool) "findings counted" true (rose "findings" > 0);
+          Alcotest.(check bool) "units counted" true (rose "units_run" > 0);
+          Alcotest.(check bool) "edit hit the unit cache" true
+            (rose "cache_hits" > 0)))
+
 let telemetry_cases =
   [
-    t "stats exposition: text and json agree on the counters" `Quick
-      (fun () ->
-        with_daemon (fun d ->
-            with_client (Oracle.addr d) (fun c ->
-                ignore
-                  (expect_checked
-                     (Client.check_buffer c plain ~name:"b.c"
-                        ~contents:buggy_src));
-                (match Client.stats c with
-                | Ok s ->
-                  Alcotest.(check bool) "text mentions requests" true
-                    (contains_sub s "requests")
-                | Error e -> Alcotest.fail (Client.err_to_string e));
-                match Client.stats_json c with
-                | Error e -> Alcotest.fail (Client.err_to_string e)
-                | Ok j ->
-                  Alcotest.(check bool) "one object" true
-                    (String.length j > 2 && j.[0] = '{');
-                  Alcotest.(check bool) "nested session block" true
-                    (contains_sub j "\"session\":");
-                  (match json_int_field j "requests" with
-                  | Some n ->
-                    Alcotest.(check bool) "served at least one" true (n >= 1)
-                  | None -> Alcotest.fail "no requests field");
-                  (match json_int_field j "findings" with
-                  | Some n ->
-                    Alcotest.(check bool) "session findings counted" true
-                      (n >= 1)
-                  | None -> Alcotest.fail "no session findings field"))));
+    t "stats exposition: text and json agree on the counters, in-process"
+      `Quick (stats_agree ~supervised:false);
+    t "stats exposition: text and json agree on the counters, supervised"
+      `Quick (stats_agree ~supervised:true);
     t "metrics exposition: required series present and monotone" `Quick
       (fun () ->
         with_daemon (fun d ->
@@ -974,6 +1047,10 @@ let telemetry_cases =
               ~finally:(fun () -> Engine.set_fault_hook None)
               (fun () ->
                 with_client (Oracle.addr d) (fun c ->
+                    let notable =
+                      Mctel.Metrics.counter "mcheckd_flight_notable_total"
+                    in
+                    let notable0 = Mctel.Metrics.counter_value notable in
                     (match
                        Client.check_buffer c plain ~name:"b.c"
                          ~contents:buggy_src
@@ -993,7 +1070,7 @@ let telemetry_cases =
                     in
                     Alcotest.(check bool) "tail rule retained the fault"
                       true
-                      (Mctel.Flight.retained fr >= 1);
+                      (Mctel.Metrics.counter_value notable - notable0 >= 1);
                     Alcotest.(check bool)
                       "a notable check_buffer entry survives" true
                       (List.exists
