@@ -285,7 +285,7 @@ module Session = struct
     in
     if t.cfg.metal <> [] then
       let checkers =
-        List.map (fun (_, m) -> Registry.of_table m) t.cfg.metal
+        List.map (fun (_, m) -> Registry.of_machine m) t.cfg.metal
       in
       let results =
         List.map

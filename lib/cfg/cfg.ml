@@ -41,33 +41,56 @@ exception Build_error of string
 (* ------------------------------------------------------------------ *)
 
 type builder = {
-  mutable rev_nodes : node list;
-  by_id : (int, node) Hashtbl.t;
+  mutable by_id : node array;  (** the first [count] are built *)
   mutable count : int;
   labels : (string, int) Hashtbl.t;
   mutable pending_gotos : (string * int) list;  (** label, goto node id *)
 }
 
+(* filler for the unbuilt tail of [builder.by_id]; never linked *)
+let no_node = { id = -1; kind = Join; loc = Loc.none; succs = []; preds = [] }
+
 let fresh b kind loc =
   let n = { id = b.count; kind; loc; succs = []; preds = [] } in
+  if b.count = Array.length b.by_id then begin
+    let bigger = Array.make (2 * b.count) no_node in
+    Array.blit b.by_id 0 bigger 0 b.count;
+    b.by_id <- bigger
+  end;
+  b.by_id.(b.count) <- n;
   b.count <- b.count + 1;
-  b.rev_nodes <- n :: b.rev_nodes;
-  Hashtbl.replace b.by_id n.id n;
   n
 
-let find_node b id = Hashtbl.find b.by_id id
+let find_node b id = b.by_id.(id)
 
+(* Edges are prepended while building and every list is reversed once in
+   [build], so a node with many predecessors (the exit of a deep [if]
+   nest) costs linear time, not quadratic. *)
 let link b ~from ~label ~target =
   let src = find_node b from in
-  src.succs <- src.succs @ [ (label, target) ];
+  src.succs <- (label, target) :: src.succs;
   let dst = find_node b target in
-  dst.preds <- dst.preds @ [ from ]
+  dst.preds <- from :: dst.preds
 
-(* A frontier is the set of dangling out-edges waiting for the next node. *)
-type frontier = (int * edge_label) list
+(* A frontier is the sequence of dangling out-edges waiting for the next
+   node, kept catenable so that joining the arms of an [if] is O(1)
+   however deep the nesting.  Its order is the order edges get linked
+   in, which fixes every [succs]/[preds] order and hence DFS order. *)
+type frontier =
+  | Nil
+  | Edge of int * edge_label
+  | Cat of frontier * frontier
 
-let connect b (frontier : frontier) (target : int) =
-  List.iter (fun (from, label) -> link b ~from ~label ~target) frontier
+let ( ++ ) a b =
+  match (a, b) with Nil, f | f, Nil -> f | _ -> Cat (a, b)
+
+let rec connect b (frontier : frontier) (target : int) =
+  match frontier with
+  | Nil -> ()
+  | Edge (from, label) -> link b ~from ~label ~target
+  | Cat (x, y) ->
+    connect b x target;
+    connect b y target
 
 type loop_ctx = {
   break_acc : frontier ref option;  (** where [break] edges accumulate *)
@@ -98,39 +121,37 @@ let rec build_stmt b (ctx : loop_ctx) (sw : switch_ctx option)
         (fun (_, goto_id) -> link b ~from:goto_id ~label:Seq ~target:n.id)
         resolved
     | _ -> ());
-    [ (n.id, Seq) ]
+    Edge (n.id, Seq)
   | Ast.Sblock body -> build_stmts b ctx sw frontier body
   | Ast.Sif (cond, then_s, else_s) -> (
     let n = fresh b (Branch cond) s.Ast.sloc in
     connect b frontier n.id;
-    let after_then = build_stmt b ctx sw [ (n.id, True) ] then_s in
+    let after_then = build_stmt b ctx sw (Edge (n.id, True)) then_s in
     match else_s with
-    | Some e ->
-      let after_else = build_stmt b ctx sw [ (n.id, False) ] e in
-      after_then @ after_else
-    | None -> after_then @ [ (n.id, False) ])
+    | Some e -> after_then ++ build_stmt b ctx sw (Edge (n.id, False)) e
+    | None -> after_then ++ Edge (n.id, False))
   | Ast.Swhile (cond, body) ->
     let head = fresh b (Branch cond) s.Ast.sloc in
     connect b frontier head.id;
-    let break_acc = ref [] in
+    let break_acc = ref Nil in
     let ctx' =
       { break_acc = Some break_acc; continue_target = Some head.id }
     in
-    let after_body = build_stmt b ctx' sw [ (head.id, True) ] body in
+    let after_body = build_stmt b ctx' sw (Edge (head.id, True)) body in
     connect b after_body head.id;
-    ((head.id, False) :: !break_acc)
+    Edge (head.id, False) ++ !break_acc
   | Ast.Sdo (body, cond) ->
     let anchor = fresh b Join s.Ast.sloc in
     connect b frontier anchor.id;
     let tail = fresh b (Branch cond) s.Ast.sloc in
-    let break_acc = ref [] in
+    let break_acc = ref Nil in
     let ctx' =
       { break_acc = Some break_acc; continue_target = Some tail.id }
     in
-    let after_body = build_stmt b ctx' sw [ (anchor.id, Seq) ] body in
+    let after_body = build_stmt b ctx' sw (Edge (anchor.id, Seq)) body in
     connect b after_body tail.id;
     link b ~from:tail.id ~label:True ~target:anchor.id;
-    ((tail.id, False) :: !break_acc)
+    Edge (tail.id, False) ++ !break_acc
   | Ast.Sfor (init, cond, step, body) ->
     let frontier =
       match init with
@@ -139,23 +160,23 @@ let rec build_stmt b (ctx : loop_ctx) (sw : switch_ctx option)
           fresh b (Stmt (Ast.mk_stmt ~loc:s.Ast.sloc (Ast.Sexpr e))) s.Ast.sloc
         in
         connect b frontier n.id;
-        [ (n.id, Seq) ]
+        Edge (n.id, Seq)
       | Some (Ast.Fi_decl d) ->
         let n =
           fresh b (Stmt (Ast.mk_stmt ~loc:s.Ast.sloc (Ast.Sdecl d))) s.Ast.sloc
         in
         connect b frontier n.id;
-        [ (n.id, Seq) ]
+        Edge (n.id, Seq)
       | None -> frontier
     in
     let head, loop_exit_frontier =
       match cond with
       | Some c ->
         let h = fresh b (Branch c) s.Ast.sloc in
-        (h, [ (h.id, False) ])
+        (h, Edge (h.id, False))
       | None ->
         let h = fresh b Join s.Ast.sloc in
-        (h, [])
+        (h, Nil)
     in
     connect b frontier head.id;
     let body_entry_label =
@@ -174,33 +195,33 @@ let rec build_stmt b (ctx : loop_ctx) (sw : switch_ctx option)
     let continue_target =
       match step_node with Some n -> n.id | None -> head.id
     in
-    let break_acc = ref [] in
+    let break_acc = ref Nil in
     let ctx' =
       { break_acc = Some break_acc; continue_target = Some continue_target }
     in
     let after_body =
-      build_stmt b ctx' sw [ (head.id, body_entry_label) ] body
+      build_stmt b ctx' sw (Edge (head.id, body_entry_label)) body
     in
     (match step_node with
     | Some n ->
       connect b after_body n.id;
       link b ~from:n.id ~label:Seq ~target:head.id
     | None -> connect b after_body head.id);
-    loop_exit_frontier @ !break_acc
+    loop_exit_frontier ++ !break_acc
   | Ast.Sswitch (scrutinee, body) ->
     let n = fresh b (Switch scrutinee) s.Ast.sloc in
     connect b frontier n.id;
-    let break_acc = ref [] in
+    let break_acc = ref Nil in
     let ctx' =
       { break_acc = Some break_acc; continue_target = ctx.continue_target }
     in
     let sw_ctx = { switch_node = n.id; saw_default = false } in
     (* the switch body starts unreachable except through case labels *)
-    let after_body = build_stmt b ctx' (Some sw_ctx) [] body in
+    let after_body = build_stmt b ctx' (Some sw_ctx) Nil body in
     let fallthrough =
-      if sw_ctx.saw_default then [] else [ (n.id, Default_case) ]
+      if sw_ctx.saw_default then Nil else Edge (n.id, Default_case)
     in
-    after_body @ !break_acc @ fallthrough
+    after_body ++ !break_acc ++ fallthrough
   | Ast.Scase e ->
     let n = fresh b Join s.Ast.sloc in
     connect b frontier n.id;
@@ -208,7 +229,7 @@ let rec build_stmt b (ctx : loop_ctx) (sw : switch_ctx option)
     | Some sw_ctx ->
       link b ~from:sw_ctx.switch_node ~label:(Case e) ~target:n.id
     | None -> raise (Build_error "case label outside switch"));
-    [ (n.id, Seq) ]
+    Edge (n.id, Seq)
   | Ast.Sdefault ->
     let n = fresh b Join s.Ast.sloc in
     connect b frontier n.id;
@@ -217,22 +238,22 @@ let rec build_stmt b (ctx : loop_ctx) (sw : switch_ctx option)
       sw_ctx.saw_default <- true;
       link b ~from:sw_ctx.switch_node ~label:Default_case ~target:n.id
     | None -> raise (Build_error "default label outside switch"));
-    [ (n.id, Seq) ]
+    Edge (n.id, Seq)
   | Ast.Sreturn e ->
     let n = fresh b (Return e) s.Ast.sloc in
     connect b frontier n.id;
-    [] (* edges to exit are added in [build] *)
+    Nil (* edges to exit are added in [build] *)
   | Ast.Sbreak -> (
     match ctx.break_acc with
     | Some acc ->
-      acc := !acc @ frontier;
-      []
+      acc := !acc ++ frontier;
+      Nil
     | None -> raise (Build_error "break outside loop or switch"))
   | Ast.Scontinue -> (
     match ctx.continue_target with
     | Some target ->
       connect b frontier target;
-      []
+      Nil
     | None -> raise (Build_error "continue outside loop"))
   | Ast.Sgoto label -> (
     let n = fresh b (Stmt s) s.Ast.sloc in
@@ -240,39 +261,45 @@ let rec build_stmt b (ctx : loop_ctx) (sw : switch_ctx option)
     match Hashtbl.find_opt b.labels label with
     | Some target ->
       link b ~from:n.id ~label:Seq ~target;
-      []
+      Nil
     | None ->
       b.pending_gotos <- (label, n.id) :: b.pending_gotos;
-      [])
+      Nil)
 
-and build_stmts b ctx sw frontier stmts =
-  List.fold_left (fun fr s -> build_stmt b ctx sw fr s) frontier stmts
+and build_stmts b ctx sw frontier = function
+  | [] -> frontier
+  | s :: rest -> build_stmts b ctx sw (build_stmt b ctx sw frontier s) rest
 
 (** Build the CFG for a function. *)
 let build (f : Ast.func) : t =
   let b =
     {
-      rev_nodes = [];
-      by_id = Hashtbl.create 64;
+      by_id = Array.make 64 no_node;
       count = 0;
       labels = Hashtbl.create 8;
       pending_gotos = [];
     }
   in
   let entry = fresh b Entry f.Ast.f_loc in
-  let frontier = build_stmts b no_ctx None [ (entry.id, Seq) ] f.Ast.f_body in
+  let frontier = build_stmts b no_ctx None (Edge (entry.id, Seq)) f.Ast.f_body in
   let exit = fresh b Exit f.Ast.f_end_loc in
   connect b frontier exit.id;
-  (* every return node flows to exit *)
-  List.iter
-    (fun n -> match n.kind with Return _ -> link b ~from:n.id ~label:Seq ~target:exit.id | _ -> ())
-    b.rev_nodes;
+  (* every return node flows to exit, the latest first *)
+  for id = b.count - 1 downto 0 do
+    match b.by_id.(id).kind with
+    | Return _ -> link b ~from:id ~label:Seq ~target:exit.id
+    | _ -> ()
+  done;
   (* unresolved gotos (target label missing) dead-end at exit *)
   List.iter
     (fun (_, goto_id) -> link b ~from:goto_id ~label:Seq ~target:exit.id)
     b.pending_gotos;
-  let nodes = Array.make b.count entry in
-  List.iter (fun n -> nodes.(n.id) <- n) b.rev_nodes;
+  let nodes = Array.sub b.by_id 0 b.count in
+  Array.iter
+    (fun n ->
+      n.succs <- List.rev n.succs;
+      n.preds <- List.rev n.preds)
+    nodes;
   { func = f; nodes; entry = entry.id; exit = exit.id }
 
 (* ------------------------------------------------------------------ *)

@@ -3,22 +3,21 @@
     Every per-function client of a CFG (the nine checkers, the [Mcd]
     work units, [Paths], the fixer/optimizer) needs the same three
     derived artifacts: the graph itself, the flattened sub-expression
-    event list of every node, and the loop structure.  Before this
+    event stream of every node, and the loop structure.  Before this
     module each (checker x function) pairing rebuilt all three, so a
     nine-checker run paid for nine CFG constructions and nine event
     flattenings per function.  [Prep.build] computes them exactly once;
     a batched scheduler (or the fused sequential driver) builds one
     [Prep.t] per function and hands it to every checker.
 
-    Two event views are precomputed because state machines differ in
-    [observe_branches]: the observing view exposes branch/switch
-    conditions as events, the non-observing view hides them.  Nodes
-    whose events are identical in both views share the same physical
-    array. *)
+    The event stream has one form, the structure-of-arrays arena below.
+    State machines differ in [observe_branches]: a non-observing machine
+    skips the events flagged {!soa_hidden_bit} (branch/switch
+    conditions). *)
 
-(** Structure-of-arrays view of the observing event stream: every event
-    of every node, concatenated in node order into parallel int arrays
-    allocated once per function.  The screening keys a dispatch loop
+(** The event stream as a structure of arrays: every event of every
+    node, branch/switch conditions included, concatenated in node order
+    into parallel arrays allocated once per function.  The screening keys a dispatch loop
     needs (root tag, callee symbol, first-argument symbol, owning node,
     branch visibility) are dense ints read sequentially; [ev_expr] holds
     the expression itself for the rules that survive screening. *)
@@ -39,11 +38,6 @@ type soa = {
 type t = {
   func : Ast.func;
   cfg : Cfg.t;
-  events_obs : Ast.expr array array;
-      (** per node: sub-expressions in evaluation (post-) order,
-          branch/switch conditions included *)
-  events_noobs : Ast.expr array array;
-      (** the same with branch/switch conditions hidden *)
   soa : soa;
   n_edges : int;
   back_edges : (int * int) list;
@@ -52,9 +46,8 @@ type t = {
 
 let soa_hidden_bit = 1
 
-(* Sub-expressions of [e] in evaluation (post-) order, including [e].
-   This is the one flattening the engine replays; it lived in [Engine]
-   before the prep cache existed (Engine re-exports it). *)
+(* Sub-expressions of [e] in evaluation (post-) order, including [e]:
+   the one flattening the engine replays. *)
 let subexprs_post (e : Ast.expr) : Ast.expr list =
   let acc = ref [] in
   let rec post e =
@@ -87,22 +80,16 @@ let subexprs_post (e : Ast.expr) : Ast.expr list =
   post e;
   List.rev !acc
 
-(* The expressions a CFG node exposes to a state machine. *)
-let node_exprs ~observe_branches (node : Cfg.node) : Ast.expr list =
+(* The expressions a CFG node exposes to a state machine; branch/switch
+   conditions are flagged hidden in the arena. *)
+let node_exprs (node : Cfg.node) : Ast.expr list =
   match node.Cfg.kind with
   | Cfg.Stmt { Ast.sdesc = Ast.Sexpr e; _ } -> [ e ]
   | Cfg.Stmt { Ast.sdesc = Ast.Sdecl d; _ } -> (
     match d.Ast.v_init with Some e -> [ e ] | None -> [])
-  | Cfg.Branch e | Cfg.Switch e -> if observe_branches then [ e ] else []
+  | Cfg.Branch e | Cfg.Switch e -> [ e ]
   | Cfg.Return (Some e) -> [ e ]
   | Cfg.Stmt _ | Cfg.Return None | Cfg.Entry | Cfg.Exit | Cfg.Join -> []
-
-let flatten exprs =
-  match exprs with
-  | [] -> [||]
-  | exprs -> Array.of_list (List.concat_map subexprs_post exprs)
-
-let empty_events : Ast.expr array = [||]
 
 (* Arena fill value.  It must be a module-level (hence quickly promoted,
    thereafter old-generation) block: [Array.make n v] with [n] beyond
@@ -119,22 +106,19 @@ let m_builds =
 let build (func : Ast.func) : t =
   let cfg = Cfg.build func in
   let n = Array.length cfg.Cfg.nodes in
-  let events_obs = Array.make n empty_events in
-  let events_noobs = Array.make n empty_events in
-  let n_edges = ref 0 in
-  Array.iteri
-    (fun i (node : Cfg.node) ->
-      n_edges := !n_edges + List.length node.Cfg.succs;
-      let obs = flatten (node_exprs ~observe_branches:true node) in
-      events_obs.(i) <- obs;
-      events_noobs.(i) <-
-        (match node.Cfg.kind with
-        | Cfg.Branch _ | Cfg.Switch _ -> empty_events
-        | _ -> obs))
-    cfg.Cfg.nodes;
-  (* arena pass: one allocation per column for the whole function *)
-  let total = Array.fold_left (fun a evs -> a + Array.length evs) 0 events_obs in
-  let ev_expr = Array.make (max total 1) arena_init in
+  let per_node =
+    Array.map
+      (fun (node : Cfg.node) ->
+        List.concat_map subexprs_post (node_exprs node))
+      cfg.Cfg.nodes
+  in
+  let n_edges =
+    Array.fold_left (fun a (node : Cfg.node) -> a + List.length node.Cfg.succs)
+      0 cfg.Cfg.nodes
+  in
+  (* one allocation per column for the whole function *)
+  let total = Array.fold_left (fun a evs -> a + List.length evs) 0 per_node in
+  let ev_expr = Array.make total arena_init in
   let ev_class = Array.make total 0 in
   let ev_callee = Array.make total (-1) in
   let ev_arg = Array.make total (-1) in
@@ -145,15 +129,13 @@ let build (func : Ast.func) : t =
   let k = ref 0 in
   Array.iteri
     (fun i (node : Cfg.node) ->
-      let evs = events_obs.(i) in
       node_off.(i) <- !k;
-      node_len.(i) <- Array.length evs;
       let hidden =
         match node.Cfg.kind with
         | Cfg.Branch _ | Cfg.Switch _ -> soa_hidden_bit
         | _ -> 0
       in
-      Array.iter
+      List.iter
         (fun (e : Ast.expr) ->
           let j = !k in
           ev_expr.(j) <- e;
@@ -169,18 +151,16 @@ let build (func : Ast.func) : t =
           ev_node.(j) <- i;
           ev_flags.(j) <- hidden;
           incr k)
-        evs)
+        per_node.(i);
+      node_len.(i) <- !k - node_off.(i))
     cfg.Cfg.nodes;
   Mcmetrics.inc m_builds;
   {
     func;
     cfg;
-    events_obs;
-    events_noobs;
     soa =
       {
-        ev_expr =
-          (if total = 0 then [||] else ev_expr);
+        ev_expr;
         ev_class;
         ev_callee;
         ev_arg;
@@ -189,13 +169,10 @@ let build (func : Ast.func) : t =
         node_off;
         node_len;
       };
-    n_edges = !n_edges;
+    n_edges;
     back_edges = Cfg.back_edges cfg;
     paths = lazy (Paths.analyze cfg);
   }
-
-let events (p : t) ~observe_branches : Ast.expr array array =
-  if observe_branches then p.events_obs else p.events_noobs
 
 let paths (p : t) : Paths.stats = Lazy.force p.paths
 let n_nodes (p : t) : int = Array.length p.cfg.Cfg.nodes

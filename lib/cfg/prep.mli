@@ -1,9 +1,9 @@
 (** Prep — the shared per-function analysis cache.
 
     [build f] computes, exactly once per function, everything a
-    per-function CFG client needs: the graph, each node's flattened
-    sub-expression event array (in both the branch-observing and
-    non-observing views), and the loop/path metadata.  The nine
+    per-function CFG client needs: the graph, the flattened
+    sub-expression event stream of every node (one arena, {!soa}), and
+    the loop/path metadata.  The nine
     checkers, the [Mcd] function-batched work units, and the fused
     sequential driver all share one [t] per function instead of each
     rebuilding the CFG and re-deriving the event lists.
@@ -12,11 +12,12 @@
     which is how the test suite pins "built exactly once per function
     per run" down. *)
 
-(** Structure-of-arrays view of the observing event stream: all events
-    of all nodes concatenated in node order into parallel int arrays,
-    allocated once per function.  A dispatch loop reads the dense
-    screening keys sequentially and touches [ev_expr] only for the rules
-    that survive screening. *)
+(** The event stream, the only form events take: all events of all
+    nodes (branch/switch conditions included) concatenated in node order
+    into parallel arrays, allocated once per function.  Within a node
+    events are in evaluation (post-) order.  A dispatch loop reads the
+    dense screening keys sequentially and touches [ev_expr] only for the
+    rules that survive screening. *)
 type soa = {
   ev_expr : Ast.expr array;  (** the event expression *)
   ev_class : int array;  (** root tag, [Ast.expr_tag] *)
@@ -34,13 +35,7 @@ type soa = {
 type t = {
   func : Ast.func;
   cfg : Cfg.t;
-  events_obs : Ast.expr array array;
-      (** per node: sub-expressions in evaluation (post-) order,
-          branch/switch conditions included *)
-  events_noobs : Ast.expr array array;
-      (** the same view with branch/switch conditions hidden — nodes
-          identical in both views share the same physical array *)
-  soa : soa;  (** flat SoA view of [events_obs] *)
+  soa : soa;  (** the event stream *)
   n_edges : int;
   back_edges : (int * int) list;  (** DFS back edges, one per loop *)
   paths : Paths.stats Lazy.t;  (** forced on first {!paths} call *)
@@ -56,9 +51,6 @@ val build : Ast.func -> t
 val subexprs_post : Ast.expr -> Ast.expr list
 (** sub-expressions in evaluation (post-) order, including the root —
     the event order state machines see *)
-
-val events : t -> observe_branches:bool -> Ast.expr array array
-(** the per-node event arrays in the requested view *)
 
 val paths : t -> Paths.stats
 (** exit-path statistics, computed once and cached *)

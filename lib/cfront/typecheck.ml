@@ -15,7 +15,11 @@ type env = {
   enum_consts : (string, unit) Hashtbl.t;
   globals : (string, Ctype.t) Hashtbl.t;
   funcs : (string, Ctype.t) Hashtbl.t;  (** name -> return type *)
-  mutable locals : (string * Ctype.t) list list;  (** scope stack *)
+  locals : (string, Ctype.t) Hashtbl.t;
+      (** every live local binding; [Hashtbl.add] shadows, [remove]
+          uncovers the outer one *)
+  mutable scopes : string list list;
+      (** the scope stack: names bound in each scope, innermost first *)
 }
 
 let create_env () =
@@ -26,7 +30,8 @@ let create_env () =
     enum_consts = Hashtbl.create 16;
     globals = Hashtbl.create 64;
     funcs = Hashtbl.create 64;
-    locals = [];
+    locals = Hashtbl.create 16;
+    scopes = [];
   }
 
 let rec resolve env (ty : Ctype.t) : Ctype.t =
@@ -39,25 +44,26 @@ let rec resolve env (ty : Ctype.t) : Ctype.t =
   | Ctype.Array (t, n) -> Ctype.Array (resolve env t, n)
   | t -> t
 
-let push_scope env = env.locals <- [] :: env.locals
+(* One name table for all scopes, so a lookup costs one probe however
+   deep the nesting; popping a scope removes exactly the bindings it
+   added. *)
+let push_scope env = env.scopes <- [] :: env.scopes
 
 let pop_scope env =
-  match env.locals with [] -> () | _ :: rest -> env.locals <- rest
+  match env.scopes with
+  | [] -> ()
+  | names :: rest ->
+    List.iter (Hashtbl.remove env.locals) names;
+    env.scopes <- rest
 
 let bind_local env name ty =
-  match env.locals with
-  | scope :: rest -> env.locals <- ((name, ty) :: scope) :: rest
-  | [] -> env.locals <- [ [ (name, ty) ] ]
+  Hashtbl.add env.locals name ty;
+  match env.scopes with
+  | names :: rest -> env.scopes <- (name :: names) :: rest
+  | [] -> env.scopes <- [ [ name ] ]
 
 let lookup_var env name : Ctype.t option =
-  let rec in_scopes = function
-    | [] -> None
-    | scope :: rest -> (
-      match List.assoc_opt name scope with
-      | Some t -> Some t
-      | None -> in_scopes rest)
-  in
-  match in_scopes env.locals with
+  match Hashtbl.find_opt env.locals name with
   | Some t -> Some t
   | None -> Hashtbl.find_opt env.globals name
 

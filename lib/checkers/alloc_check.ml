@@ -61,20 +61,11 @@ let sm : state Sm.t =
       | Unchecked _ -> "unchecked")
     ()
 
-let check_prep ~spec : Prep.t -> Diag.t list =
-  let _ = spec in
-  fun prep -> Engine.check_prep sm prep
-
 (* [Unchecked] carries the stored-into expression, so the state space is
-   not statically enumerable; the product scan interns states
-   dynamically. *)
-let product ~spec : Engine.pmachine option =
-  let _ = spec in
-  Some (Engine.pack sm)
-
-let check_fn ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ~spec in
-  fun f -> staged (Prep.build f)
+   not statically enumerable: the machine stays generic and the walks
+   intern its states dynamically. *)
+let packed = Engine.pack sm
+let machine ~spec:_ = packed
 
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   let _ = spec in

@@ -4,16 +4,10 @@
 
 val name : string
 val metal_loc : int
-val check_prep : spec:Flash_api.spec -> Prep.t -> Diag.t list
-(** staged: check one prepared function — the fused per-function
-    phase the scheduler drives *)
 
-val product : spec:Flash_api.spec -> Engine.pmachine option
-(** the machine packed for {!Engine.product_scan}, [None] for pure AST
-    walkers with nothing to compose *)
-
-val check_fn : spec:Flash_api.spec -> Ast.func -> Diag.t list
-(** check one function — the per-function phase the scheduler drives *)
+val machine : spec:Flash_api.spec -> Engine.pmachine
+(** the checker's one packed machine: the product scan composes it and
+    a dirty re-run checks it *)
 
 val run : spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
 

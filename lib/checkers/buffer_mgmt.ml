@@ -197,30 +197,16 @@ let run_with_annotations ~spec (tus : Ast.tunit list) : outcome =
     unused_annotations = List.length (Suppress.unused suppress);
   }
 
-(* Staged: the spec-dependent state machine (and the annotation table,
-   which only feeds the Table 4 counters, never the diagnostics) is built
-   once per [check_fn ~spec] application. *)
-let check_prep ~spec : Prep.t -> Diag.t list =
+(* The spec-dependent machine, packed once per spec.  It gets its own
+   annotation table: the table only feeds the Table 4 counters of
+   [run_with_annotations] (which builds its own), never the
+   diagnostics, so recording during a scan or re-run is inert. *)
+let machine ~spec : Engine.pmachine =
   let suppress =
     Suppress.create
       ~reserved:[ Flash_api.ann_has_buffer; Flash_api.ann_no_free_needed ]
   in
-  let sm = make_sm ~spec ~suppress in
-  fun prep -> Engine.check_prep ~at_exit:(exit_hook ~spec suppress) sm prep
-
-let check_fn ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ~spec in
-  fun f -> staged (Prep.build f)
-
-(* The product pack gets its own annotation table: the table only feeds
-   the Table 4 counters of [run_with_annotations] (which builds its own),
-   never the diagnostics, so scan-time recording is inert. *)
-let product ~spec : Engine.pmachine option =
-  let suppress =
-    Suppress.create
-      ~reserved:[ Flash_api.ann_has_buffer; Flash_api.ann_no_free_needed ]
-  in
-  Some (Engine.pack ~at_exit:(exit_hook ~spec suppress) (make_sm ~spec ~suppress))
+  Engine.pack ~at_exit:(exit_hook ~spec suppress) (make_sm ~spec ~suppress)
 
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   (run_with_annotations ~spec tus).diags

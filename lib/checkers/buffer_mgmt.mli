@@ -14,17 +14,9 @@ type outcome = {
 
 val run_with_annotations : spec:Flash_api.spec -> Ast.tunit list -> outcome
 
-val check_prep : spec:Flash_api.spec -> Prep.t -> Diag.t list
-(** staged: [check_prep ~spec] compiles the spec's state machine once and
-    returns the fused per-function phase the scheduler drives *)
-
-val product : spec:Flash_api.spec -> Engine.pmachine option
-(** the machine packed for {!Engine.product_scan}, [None] for pure AST
-    walkers with nothing to compose *)
-
-val check_fn : spec:Flash_api.spec -> Ast.func -> Diag.t list
-(** staged: [check_fn ~spec] compiles the spec's state machine once and
-    returns the per-function phase the scheduler drives *)
+val machine : spec:Flash_api.spec -> Engine.pmachine
+(** the spec's machine, compiled and packed once per call: the product
+    scan composes it and a dirty re-run checks it *)
 
 val run : spec:Flash_api.spec -> Ast.tunit list -> Diag.t list
 val applied : Ast.tunit list -> int

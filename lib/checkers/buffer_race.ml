@@ -47,21 +47,13 @@ let rules =
 let sm : state Sm.t =
   Sm.make ~name ~start:(fun _ -> Some Start) ~rules:(fun Start -> rules) ()
 
-let check_prep ~spec : Prep.t -> Diag.t list =
-  let _ = spec in
-  fun prep -> Engine.check_prep sm prep
-
-let check_fn ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ~spec in
-  fun f -> staged (Prep.build f)
-
 (* One state, so the machine lowers onto the transition-table shape and
-   the product scan gets array-load dispatch. *)
-let table = Engine.prebuild ~n_states:1 (Engine.reindex [| Start |] sm)
+   both the product scan and re-runs get array-load dispatch. *)
+let packed =
+  Engine.pack_table
+    (Engine.prebuild ~n_states:1 (Engine.reindex [| Start |] sm))
 
-let product ~spec : Engine.pmachine option =
-  let _ = spec in
-  Some (Engine.pack_table table)
+let machine ~spec:_ = packed
 
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   let _ = spec in

@@ -131,18 +131,10 @@ let exit_hook : state Engine.exit_hook =
     Sm.err ~checker:name ctx
       "modified directory entry not written back on this path"
 
-(* Staged: [check_prep ~spec] compiles the spec-dependent state machine
-   once, the returned closure checks one prepared function at a time. *)
-let check_prep ?nak_pruning ~spec : Prep.t -> Diag.t list =
-  let sm = sm ?nak_pruning ~spec () in
-  fun prep -> Engine.check_prep ~at_exit:exit_hook sm prep
-
-let check_fn ?nak_pruning ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ?nak_pruning ~spec in
-  fun f -> staged (Prep.build f)
-
-let product ?nak_pruning ~spec () : Engine.pmachine option =
-  Some (Engine.pack ~at_exit:exit_hook (sm ?nak_pruning ~spec ()))
+(* The spec-dependent machine, packed once per spec.  Its record states
+   are not statically enumerable, so it stays generic. *)
+let machine ~spec : Engine.pmachine =
+  Engine.pack ~at_exit:exit_hook (sm ~spec ())
 
 let run ?nak_pruning ~spec (tus : Ast.tunit list) : Diag.t list =
   Engine.check ~at_exit:exit_hook (sm ?nak_pruning ~spec ()) (`Program tus)

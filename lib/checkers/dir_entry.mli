@@ -6,19 +6,9 @@
 val name : string
 val metal_loc : int
 
-val check_prep :
-  ?nak_pruning:bool -> spec:Flash_api.spec -> Prep.t -> Diag.t list
-(** staged: [check_prep ~spec] compiles the spec's state machine once and
-    returns the fused per-function phase the scheduler drives *)
-
-val product :
-  ?nak_pruning:bool -> spec:Flash_api.spec -> unit -> Engine.pmachine option
-(** the machine packed for {!Engine.product_scan} *)
-
-val check_fn :
-  ?nak_pruning:bool -> spec:Flash_api.spec -> Ast.func -> Diag.t list
-(** staged: [check_fn ~spec] compiles the spec's state machine once and
-    returns the per-function phase the scheduler drives *)
+val machine : spec:Flash_api.spec -> Engine.pmachine
+(** the spec's machine (NAK pruning on), compiled and packed once per
+    call: the product scan composes it and a dirty re-run checks it *)
 
 val run :
   ?nak_pruning:bool ->

@@ -64,23 +64,14 @@ let sm : state Sm.t =
       | Nonzero_len -> "nonzero_len")
     ()
 
-let check_prep ~spec : Prep.t -> Diag.t list =
-  let _ = spec in
-  fun prep -> Engine.check_prep sm prep
-
 (* Three states, so the machine lowers onto the transition-table shape
-   and the product scan gets array-load dispatch. *)
-let table =
-  Engine.prebuild ~n_states:3
-    (Engine.reindex [| Unknown; Zero_len; Nonzero_len |] sm)
+   and both the product scan and re-runs get array-load dispatch. *)
+let packed =
+  Engine.pack_table
+    (Engine.prebuild ~n_states:3
+       (Engine.reindex [| Unknown; Zero_len; Nonzero_len |] sm))
 
-let product ~spec : Engine.pmachine option =
-  let _ = spec in
-  Some (Engine.pack_table table)
-
-let check_fn ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ~spec in
-  fun f -> staged (Prep.build f)
+let machine ~spec:_ = packed
 
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   let _ = spec in

@@ -47,33 +47,42 @@ let run_of_phase (phase : phase) : spec:Flash_api.spec -> Ast.tunit list ->
 let make ~name ~description ~metal_loc ~phase ~applied =
   { name; description; metal_loc; phase; run = run_of_phase phase; applied }
 
-(* lift a checker module's [check_prep ~spec] (staged on the spec alone)
-   into the registry signature *)
-let fn staged : check_fn = fun ~spec ~ctx -> let _ = ctx in staged ~spec
+(* A per-function checker over one packed machine, built once per spec:
+   the kernel stages it once and both composes it into the product scan
+   and re-runs it when dirty. *)
+let machine_phase (machine : spec:Flash_api.spec -> Engine.pmachine) =
+  Per_function
+    {
+      check_fn = (fun ~spec ~ctx:_ -> Engine.check_prep (machine ~spec));
+      finalize = Fun.id;
+      product = (fun ~spec -> Some (machine ~spec));
+    }
+
+(* A pure AST walker: nothing to compose, and its whole-program list is
+   sorted globally.  The staged closure must not hold [ctx] (the whole
+   program): schedulers may keep staged closures past the run. *)
+let walker_phase (check : spec:Flash_api.spec -> Ast.func -> Diag.t list) =
+  Per_function
+    {
+      check_fn =
+        (fun ~spec ~ctx:_ ->
+          let check = check ~spec in
+          fun prep -> check prep.Prep.func);
+      finalize = Diag.normalize;
+      product = (fun ~spec:_ -> None);
+    }
 
 let all : checker list =
   [
     make ~name:Buffer_mgmt.name
       ~description:"buffer allocation/free discipline (Section 6)"
       ~metal_loc:Buffer_mgmt.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Buffer_mgmt.check_prep;
-             finalize = Fun.id;
-             product = Buffer_mgmt.product;
-           })
+      ~phase:(machine_phase Buffer_mgmt.machine)
       ~applied:Buffer_mgmt.applied;
     make ~name:Msg_length.name
       ~description:"message length vs has-data consistency (Section 5)"
       ~metal_loc:Msg_length.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Msg_length.check_prep;
-             finalize = Fun.id;
-             product = Msg_length.product;
-           })
+      ~phase:(machine_phase Msg_length.machine)
       ~applied:Msg_length.applied;
     make ~name:Lane_checker.name
       ~description:"per-lane send allowances, inter-procedural (Section 7)"
@@ -84,68 +93,32 @@ let all : checker list =
     make ~name:Buffer_race.name
       ~description:"data-buffer fill synchronisation (Section 4)"
       ~metal_loc:Buffer_race.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Buffer_race.check_prep;
-             finalize = Fun.id;
-             product = Buffer_race.product;
-           })
+      ~phase:(machine_phase Buffer_race.machine)
       ~applied:Buffer_race.applied;
     make ~name:Alloc_check.name
       ~description:"allocation failure checked before use (Section 9)"
       ~metal_loc:Alloc_check.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Alloc_check.check_prep;
-             finalize = Fun.id;
-             product = Alloc_check.product;
-           })
+      ~phase:(machine_phase Alloc_check.machine)
       ~applied:Alloc_check.applied;
     make ~name:Dir_entry.name
       ~description:"directory entry load/writeback discipline (Section 9)"
       ~metal_loc:Dir_entry.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn (fun ~spec -> Dir_entry.check_prep ?nak_pruning:None ~spec);
-             finalize = Fun.id;
-             product = (fun ~spec -> Dir_entry.product ~spec ());
-           })
+      ~phase:(machine_phase Dir_entry.machine)
       ~applied:Dir_entry.applied;
     make ~name:Send_wait.name
       ~description:"synchronous send/wait pairing (Section 9)"
       ~metal_loc:Send_wait.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Send_wait.check_prep;
-             finalize = Fun.id;
-             product = Send_wait.product;
-           })
+      ~phase:(machine_phase Send_wait.machine)
       ~applied:Send_wait.applied;
     make ~name:Exec_restrict.name
       ~description:"handler execution restrictions and hooks (Section 8)"
       ~metal_loc:Exec_restrict.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn Exec_restrict.check_prep;
-             finalize = Diag.normalize;
-             product = Exec_restrict.product;
-           })
+      ~phase:(walker_phase Exec_restrict.check_func)
       ~applied:Exec_restrict.applied;
     make ~name:No_float.name
       ~description:"no floating point in protocol code (Section 8)"
       ~metal_loc:No_float.metal_loc
-      ~phase:
-        (Per_function
-           {
-             check_fn = fn No_float.check_prep;
-             finalize = Diag.normalize;
-             product = No_float.product;
-           })
+      ~phase:(walker_phase (fun ~spec:_ -> No_float.check_func))
       ~applied:No_float.applied;
   ]
 
@@ -163,24 +136,12 @@ let run_all ~spec (tus : Ast.tunit list) : (string * Diag.t list) list =
 
 (* A checker over one spec-independent machine: what a loaded metal
    extension becomes, so it runs through the same kernel as the nine. *)
-let of_machine ~name (check : Prep.t -> Diag.t list) (m : Engine.pmachine) =
-  make ~name ~description:"metal extension" ~metal_loc:0
-    ~phase:
-      (Per_function
-         {
-           check_fn = (fun ~spec:_ ~ctx:_ -> check);
-           finalize = Fun.id;
-           product = (fun ~spec:_ -> Some m);
-         })
+let of_machine (m : Engine.pmachine) =
+  make ~name:(Engine.machine_name m) ~description:"metal extension"
+    ~metal_loc:0
+    ~phase:(machine_phase (fun ~spec:_ -> m))
     ~applied:(fun tus ->
       List.fold_left (fun n tu -> n + List.length (Ast.functions tu)) 0 tus)
-
-let of_sm (sm : 'state Sm.t) =
-  of_machine ~name:sm.Sm.name (Engine.check_prep sm) (Engine.pack sm)
-
-let of_table (t : Engine.table) =
-  of_machine ~name:(Engine.table_sm t).Sm.name (Engine.check_prep_table t)
-    (Engine.pack_table t)
 
 (* ------------------------------------------------------------------ *)
 (* The checking kernel                                                 *)
@@ -201,7 +162,15 @@ let stage checkers ~spec ctx =
       (fun c ->
         match c.phase with
         | Per_function { check_fn; product; _ } ->
-          Some (c.name, check_fn ~spec ~ctx, product ~spec)
+          (* a machine checker's re-run checks the very machine the scan
+             composes, staged once *)
+          let m = product ~spec in
+          let fn =
+            match m with
+            | Some m -> Engine.check_prep m
+            | None -> check_fn ~spec ~ctx
+          in
+          Some (c.name, fn, m)
         | Whole_program _ -> None)
       checkers
   in

@@ -40,8 +40,10 @@ type phase =
               results; [Fun.id] for most checkers, [Diag.normalize] for
               the ones that historically sorted globally *)
       product : spec:Flash_api.spec -> Engine.pmachine option;
-          (** the checker's state machine packed for
-              {!Engine.product_scan}; [None] for pure AST walkers *)
+          (** the checker's one packed machine; [None] for pure AST
+              walkers.  A machine checker's [check_fn] is
+              {!Engine.check_prep} over it, and the kernel stages the
+              machine once for both the product scan and the re-runs *)
     }
   | Whole_program of check_global
 
@@ -69,13 +71,10 @@ val run_all : spec:Flash_api.spec -> Ast.tunit list -> (string * Diag.t list) li
 
 (** {2 Machine-backed checkers} *)
 
-val of_sm : 'state Sm.t -> checker
-(** lift one spec-independent machine into a per-function checker,
-    packed for the product scan with {!Engine.pack} *)
-
-val of_table : Engine.table -> checker
-(** {!of_sm} for a prebuilt table (a compiled metal extension), packed
-    with {!Engine.pack_table} *)
+val of_machine : Engine.pmachine -> checker
+(** lift one spec-independent packed machine (a compiled metal
+    extension, or a generic {!Engine.pack}ed one) into a per-function
+    checker named after it *)
 
 (** {2 The checking kernel}
 

@@ -83,28 +83,18 @@ let exit_hook : state Engine.exit_hook =
       (iface_name iface)
   | Idle -> ()
 
-let check_prep ~spec : Prep.t -> Diag.t list =
-  let _ = spec in
-  fun prep -> Engine.check_prep ~at_exit:exit_hook sm prep
-
 (* Three reachable states, so the machine lowers onto the
-   transition-table shape; the exit hook translates back through the
-   state array. *)
-let product_states = [| Idle; Waiting PI; Waiting IO |]
+   transition-table shape and both the product scan and re-runs get
+   array-load dispatch; the exit hook translates back through the state
+   array. *)
+let states = [| Idle; Waiting PI; Waiting IO |]
 
-let table =
-  Engine.prebuild ~n_states:3 (Engine.reindex product_states sm)
+let packed =
+  Engine.pack_table
+    ~at_exit:(fun ctx i -> exit_hook ctx states.(i))
+    (Engine.prebuild ~n_states:3 (Engine.reindex states sm))
 
-let product ~spec : Engine.pmachine option =
-  let _ = spec in
-  Some
-    (Engine.pack_table
-       ~at_exit:(fun ctx i -> exit_hook ctx product_states.(i))
-       table)
-
-let check_fn ~spec : Ast.func -> Diag.t list =
-  let staged = check_prep ~spec in
-  fun f -> staged (Prep.build f)
+let machine ~spec:_ = packed
 
 let run ~spec (tus : Ast.tunit list) : Diag.t list =
   let _ = spec in

@@ -12,20 +12,22 @@
     order, so a pattern for [FREE_BUF()] fires before the pattern for the
     enclosing send in [NI_SEND(FREE_BUF(), ...)].
 
-    {2 The fused fast path}
+    {2 One event stream, one firing step}
 
-    All per-function analysis the engine needs — the CFG and each node's
-    flattened event array — comes from a {!Prep.t}, so a driver checking
+    All per-function analysis the engine needs — the CFG and the event
+    arena ({!Prep.soa}) — comes from a {!Prep.t}, so a driver checking
     one function with several machines builds that work once and calls
-    {!check_prep} per machine (the [Registry] checking kernel, which
-    every driver calls, does exactly that).  {!check} remains the
+    {!check_prep} per packed machine (the [Registry] checking kernel,
+    which every driver calls, does exactly that).  {!check} remains the
     convenient entry point and builds a private prep per call.
 
-    Rules are not scanned linearly per event: each state's rule list is
-    compiled once (per checked function) into a {!Pattern.root_shapes}
-    index, so an event is only offered to rules whose pattern root could
-    match it — for most events (plain identifiers, arithmetic) that is
-    the empty list.
+    The three walks — the path-sensitive one, the degraded flat one and
+    the product scan's node step — read that arena and offer each event
+    through one step, {!fire}: rules are not scanned linearly per event,
+    each state's rule list is compiled into a {!Pattern.root_shapes}
+    index keyed by root tag and interned callee, so an event is only
+    offered to rules whose pattern root could match it — for most events
+    (plain identifiers, arithmetic) that is the empty list.
 
     Witness steps are recorded as raw (location, expression, state)
     tuples and only rendered to strings when a diagnostic is actually
@@ -64,13 +66,10 @@ let m_product_nodes =
     "mcheck_product_nodes_visited_total"
 
 let m_pack_fallbacks =
-  Mcmetrics.counter ~help:"product walks that fell back to unpacked keys"
+  Mcmetrics.counter
+    ~help:"product scans skipped: the packed visited key cannot hold the \
+           function"
     "mcheck_product_pack_fallbacks_total"
-
-(* Sub-expressions in evaluation (post-) order — now owned by [Prep],
-   re-exported here because the engine is where callers historically
-   found it. *)
-let subexprs_post = Prep.subexprs_post
 
 type 'state exit_hook = Sm.action_ctx -> 'state -> unit
 
@@ -185,22 +184,18 @@ let event_string (e : Ast.expr) : string =
   if String.length s <= 48 then s else String.sub s 0 45 ^ "..."
 
 (* ------------------------------------------------------------------ *)
-(* Rule dispatch: the pattern root-index                               *)
+(* Rule dispatch: the pattern root-index and the firing step           *)
 (* ------------------------------------------------------------------ *)
 
 (* Candidate rules per event root shape, in original rule order (state
    rules before [all] rules), so "first matching rule fires" is
-   preserved exactly.  A call event with an identifier callee looks its
-   name up in [d_by_name]; names no pattern mentions — and calls through
+   preserved exactly.  A direct call looks its interned callee up in
+   [d_by_sym]; names no pattern mentions — and calls through
    non-identifier callees — fall back to the generic [Ast.Call] bucket
    of [d_by_tag], which holds only callee-wildcard call patterns and
    root-wildcard patterns. *)
 type 'state dispatch = {
-  d_by_name : (string, 'state Sm.rule list) Hashtbl.t;
   d_by_sym : (int, 'state Sm.rule list) Hashtbl.t;
-      (** the same buckets keyed by interned callee symbol — what the
-          SoA product scan probes, an int hash instead of a string
-          hash *)
   d_by_tag : 'state Sm.rule list array;
 }
 
@@ -231,7 +226,6 @@ let build_dispatch (rules : 'state Sm.rule list) : 'state dispatch =
           | Pattern.Root_tag _ | Pattern.Root_any -> ())
         shapes)
     classified;
-  let d_by_name = Hashtbl.create (Hashtbl.length names) in
   let d_by_sym = Hashtbl.create (Hashtbl.length names) in
   Hashtbl.iter
     (fun n () ->
@@ -243,29 +237,111 @@ let build_dispatch (rules : 'state Sm.rule list) : 'state dispatch =
             | Pattern.Root_call m -> String.equal m n)
           shapes
       in
-      let bucket =
-        List.filter_map
-          (fun (r, shapes) -> if admits shapes then Some r else None)
-          classified
-      in
-      Hashtbl.replace d_by_name n bucket;
-      Hashtbl.replace d_by_sym (Symtab.intern n) bucket)
+      Hashtbl.replace d_by_sym (Symtab.intern n)
+        (List.filter_map
+           (fun (r, shapes) -> if admits shapes then Some r else None)
+           classified))
     names;
-  { d_by_name; d_by_sym; d_by_tag }
+  { d_by_sym; d_by_tag }
 
-let candidates (d : 'state dispatch) (e : Ast.expr) : 'state Sm.rule list =
-  match e.Ast.edesc with
-  | Ast.Call ({ Ast.edesc = Ast.Ident name; _ }, _) -> (
-    match Hashtbl.find_opt d.d_by_name name with
-    | Some rules -> rules
-    | None -> d.d_by_tag.(Pattern.tag_call))
-  | _ -> d.d_by_tag.(Pattern.tag_of_expr e)
+(* The one screen-and-fire step every walk shares: offer arena event [j]
+   to the rules of [disp] and return the first that fires, with its
+   bindings.  Screening reads only the int columns; the expression is
+   touched only when some rule survives.  A non-observing machine never
+   sees branch/switch conditions. *)
+let fire ~observe (soa : Prep.soa) (disp : 'state dispatch) (j : int) :
+    ('state Sm.rule * Binding.t) option =
+  if (not observe) && soa.Prep.ev_flags.(j) land Prep.soa_hidden_bit <> 0
+  then None
+  else
+    let cls = soa.Prep.ev_class.(j) in
+    let rules =
+      if cls = Pattern.tag_call then
+        let callee = soa.Prep.ev_callee.(j) in
+        if callee < 0 then disp.d_by_tag.(cls)
+        else
+          match Hashtbl.find_opt disp.d_by_sym callee with
+          | Some rs -> rs
+          | None -> disp.d_by_tag.(cls)
+      else disp.d_by_tag.(cls)
+    in
+    match rules with
+    | [] -> None
+    | rules ->
+      let event = soa.Prep.ev_expr.(j) in
+      List.find_map
+        (fun (r : 'state Sm.rule) ->
+          match Pattern.match_expr r.Sm.pattern event with
+          | Some bindings -> Some (r, bindings)
+          | None -> None)
+        rules
+
+(* Default per-state dispatch: compiled on first encounter into a cache
+   private to one run — this also hoists the [rules state @ all]
+   allocation out of the event loop.  Tables (see {!prebuild}) compile
+   every state's dispatch once per machine instead. *)
+let cached_dispatch_for (sm : 'state Sm.t) : 'state -> 'state dispatch =
+  let dispatch_cache : ('state, 'state dispatch) Hashtbl.t =
+    Hashtbl.create 16
+  in
+  fun state ->
+    match Hashtbl.find_opt dispatch_cache state with
+    | Some d -> d
+    | None ->
+      let d = build_dispatch (sm.Sm.rules state @ sm.Sm.all) in
+      Hashtbl.add dispatch_cache state d;
+      d
+
+(* ------------------------------------------------------------------ *)
+(* Packed machines                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A machine over dense integer states with every state's dispatch index
+   compiled up front — once per machine, not once per checked function.
+   This is what the metal compiler's transition tables plug into: same
+   walks, same containment context, but the per-run dispatch cache is
+   replaced by an array load. *)
+type table = { t_sm : int Sm.t; t_dispatch : int dispatch array }
+
+let prebuild ~(n_states : int) (sm : int Sm.t) : table =
+  {
+    t_sm = sm;
+    t_dispatch =
+      Array.init n_states (fun s -> build_dispatch (sm.Sm.rules s @ sm.Sm.all));
+  }
+
+(** A machine packed once, its state type hidden: what every walk runs.
+    [p_dispatch ()] hands one run its dispatch provider — a fresh
+    private cache for a generic machine, the shared prebuilt array for a
+    table (read-only, so safe across domains). *)
+type pmachine =
+  | Pmachine : {
+      p_sm : 'state Sm.t;
+      p_at_exit : 'state exit_hook option;
+      p_dispatch : unit -> 'state -> 'state dispatch;
+    }
+      -> pmachine
+
+let pack ?at_exit (sm : 'state Sm.t) : pmachine =
+  Pmachine
+    {
+      p_sm = sm;
+      p_at_exit = at_exit;
+      p_dispatch = (fun () -> cached_dispatch_for sm);
+    }
+
+let pack_table ?at_exit (t : table) : pmachine =
+  let dispatch_for s = t.t_dispatch.(s) in
+  Pmachine
+    { p_sm = t.t_sm; p_at_exit = at_exit; p_dispatch = (fun () -> dispatch_for) }
+
+let machine_name (Pmachine { p_sm; _ }) = p_sm.Sm.name
 
 (* ------------------------------------------------------------------ *)
 (* Lazy witness steps                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The traversal threads raw steps — matched expression and the states
+(* The walks thread raw steps — matched expression and the states
    around the transition, unrendered.  [event_string]/[state_to_string]
    run only when a diagnostic is actually emitted (or the exit hook
    fires one), which is where [mcheck --explain] gets its witness. *)
@@ -289,356 +365,235 @@ let render_steps (state_str : 'state -> string)
           (match rs.r_to with Some s -> state_str s | None -> "stop"))
     steps
 
-(* ------------------------------------------------------------------ *)
-(* The traversal                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Run one state machine over one prepared function.  [at_exit] is
-   invoked once per distinct state in which a path reaches the function
-   exit.  All counters are local; the registry is touched exactly once,
-   at the end. *)
-(* Default per-state dispatch: compiled on first encounter into a cache
-   private to this call — this also hoists the [rules state @ all]
-   allocation out of the event loop.  Compiled tables (see {!prebuild})
-   pass their own provider instead, built once per machine rather than
-   once per checked function. *)
-let cached_dispatch_for (sm : 'state Sm.t) : 'state -> 'state dispatch =
-  let dispatch_cache : ('state, 'state dispatch) Hashtbl.t =
-    Hashtbl.create 16
+(* Run a fired rule's action on [event] from [state].  Emissions are
+   buffered during the action so the completed step (whose to-state is
+   only known from the outcome) can be attached to them as the last
+   witness step.  Returns the outcome and the extended step list. *)
+let apply ~func ~state_str ~emit ~trace ((r : 'state Sm.rule), bindings)
+    (event : Ast.expr) (state : 'state) (steps : 'state raw_step list) =
+  let pending = ref [] in
+  let ctx =
+    {
+      Sm.func;
+      matched = event;
+      loc = event.Ast.eloc;
+      bindings;
+      trace;
+      emit = (fun d -> pending := d :: !pending);
+    }
   in
-  fun state ->
-    match Hashtbl.find_opt dispatch_cache state with
-    | Some d -> d
-    | None ->
-      let d = build_dispatch (sm.Sm.rules state @ sm.Sm.all) in
-      Hashtbl.add dispatch_cache state d;
-      d
+  let outcome = r.Sm.action ctx in
+  let r_to =
+    match outcome with
+    | Sm.Stay -> Some state
+    | Sm.Goto next -> Some next
+    | Sm.Stop -> None
+  in
+  let steps =
+    { r_loc = event.Ast.eloc; r_event = Some event; r_from = state; r_to }
+    :: steps
+  in
+  (match !pending with
+  | [] -> ()
+  | pending ->
+    let witness = render_steps state_str steps in
+    List.iter (fun d -> emit (Diag.with_witness witness d)) (List.rev pending));
+  (outcome, steps)
 
-let check_prep_full ?(at_exit : 'state exit_hook option)
-    ?(dispatch_for : ('state -> 'state dispatch) option) (sm : 'state Sm.t)
-    (prep : Prep.t) : Diag.t list =
+(* Run the exit hook in [state]: its diagnostics witness the whole path
+   plus a synthetic return step. *)
+let apply_exit ~func ~state_str ~emit ~trace hook (loc : Loc.t)
+    (state : 'state) (steps : 'state raw_step list) =
+  let ret_step =
+    { r_loc = loc; r_event = None; r_from = state; r_to = Some state }
+  in
+  let witness = render_steps state_str (ret_step :: steps) in
+  hook
+    {
+      Sm.func;
+      matched = Ast.ident "return";
+      loc;
+      bindings = Binding.empty;
+      trace;
+      emit = (fun d -> emit (Diag.with_witness witness d));
+    }
+    state
+
+(* ------------------------------------------------------------------ *)
+(* The path-sensitive walk                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Run one machine down every path of one prepared function.  [at_exit]
+   is invoked once per distinct state in which a path reaches the
+   function exit.  All counters are local; the registry is touched
+   exactly once, at the end. *)
+let walk_paths ~(at_exit : 'state exit_hook option)
+    ~(dispatch_for : 'state -> 'state dispatch) (sm : 'state Sm.t)
+    (start_state : 'state) (prep : Prep.t) : Diag.t list =
   let func = prep.Prep.func in
-  match sm.Sm.start func with
-  | None -> []
-  | Some start_state ->
-    let limiter = Domain.DLS.get limiter_key in
-    let cfg = prep.Prep.cfg in
-    let events =
-      Prep.events prep ~observe_branches:sm.Sm.observe_branches
-    in
-    let nodes_visited = ref 0 in
-    let events_matched = ref 0 in
-    let paths_stopped = ref 0 in
-    let diags = ref [] in
-    let emit d = diags := d :: !diags in
-    let state_str = sm.Sm.state_to_string in
-    (* sized from the CFG: most functions see a handful of states per
-       node, so 4x nodes keeps the load factor low without rehashing *)
-    let visited : (int * 'state, unit) Hashtbl.t =
-      Hashtbl.create (max 16 (4 * Array.length cfg.Cfg.nodes))
-    in
-    let exit_states : ('state, unit) Hashtbl.t = Hashtbl.create 8 in
-    let dispatch_for =
-      match dispatch_for with
-      | Some f -> f
-      | None -> cached_dispatch_for sm
-    in
-    (* Process all events of node [id] starting from [state]; returns
-       the resulting (state, dispatch, witness), or [None] when a rule
-       stopped the path. *)
-    let step (id : int) (state : 'state) (disp : 'state dispatch)
-        (trace : Loc.t list) (steps : 'state raw_step list) :
-        ('state * 'state dispatch * 'state raw_step list) option =
-      let evs = events.(id) in
-      let n = Array.length evs in
-      let rec consume i state disp steps =
-        if i >= n then Some (state, disp, steps)
-        else begin
-          let event = evs.(i) in
-          let fired =
-            List.find_map
-              (fun (r : 'state Sm.rule) ->
-                match Pattern.match_expr r.Sm.pattern event with
-                | Some bindings -> Some (r, bindings)
-                | None -> None)
-              (candidates disp event)
+  let limiter = Domain.DLS.get limiter_key in
+  let cfg = prep.Prep.cfg in
+  let soa = prep.Prep.soa in
+  let observe = sm.Sm.observe_branches in
+  let nodes_visited = ref 0 in
+  let events_matched = ref 0 in
+  let paths_stopped = ref 0 in
+  let diags = ref [] in
+  let emit d = diags := d :: !diags in
+  let state_str = sm.Sm.state_to_string in
+  (* sized from the CFG: most functions see a handful of states per
+     node, so 4x nodes keeps the load factor low without rehashing *)
+  let visited : (int * 'state, unit) Hashtbl.t =
+    Hashtbl.create (max 16 (4 * Array.length cfg.Cfg.nodes))
+  in
+  let exit_states : ('state, unit) Hashtbl.t = Hashtbl.create 8 in
+  (* Process all events of node [id] starting from [state]; returns the
+     resulting (state, dispatch, witness), or [None] when a rule stopped
+     the path. *)
+  let step (id : int) (state : 'state) (disp : 'state dispatch)
+      (trace : Loc.t list) (steps : 'state raw_step list) :
+      ('state * 'state dispatch * 'state raw_step list) option =
+    let stop_at = soa.Prep.node_off.(id) + soa.Prep.node_len.(id) in
+    let rec consume j state disp steps =
+      if j >= stop_at then Some (state, disp, steps)
+      else
+        match fire ~observe soa disp j with
+        | None -> consume (j + 1) state disp steps
+        | Some fired -> (
+          incr events_matched;
+          let outcome, steps =
+            apply ~func ~state_str ~emit ~trace:(List.rev trace) fired
+              soa.Prep.ev_expr.(j) state steps
           in
-          match fired with
-          | None -> consume (i + 1) state disp steps
-          | Some (r, bindings) ->
-            incr events_matched;
-            (* buffer emissions during the action so the completed step
-               (whose to-state is only known from the outcome) can be
-               attached to them *)
-            let pending = ref [] in
-            let ctx =
-              {
-                Sm.func;
-                matched = event;
-                loc = event.Ast.eloc;
-                bindings;
-                trace = List.rev trace;
-                emit = (fun d -> pending := d :: !pending);
-              }
-            in
-            let outcome = r.Sm.action ctx in
-            let r_to =
-              match outcome with
-              | Sm.Stay -> Some state
-              | Sm.Goto next -> Some next
-              | Sm.Stop -> None
-            in
-            let steps =
-              { r_loc = event.Ast.eloc; r_event = Some event;
-                r_from = state; r_to }
-              :: steps
-            in
-            (match !pending with
-            | [] -> ()
-            | pending ->
-              let witness = render_steps state_str steps in
-              List.iter
-                (fun d -> emit (Diag.with_witness witness d))
-                (List.rev pending));
-            (match outcome with
-            | Sm.Stay -> consume (i + 1) state disp steps
-            | Sm.Goto next -> consume (i + 1) next (dispatch_for next) steps
-            | Sm.Stop ->
-              incr paths_stopped;
-              None)
-        end
-      in
-      consume 0 state disp steps
+          match outcome with
+          | Sm.Stay -> consume (j + 1) state disp steps
+          | Sm.Goto next -> consume (j + 1) next (dispatch_for next) steps
+          | Sm.Stop ->
+            incr paths_stopped;
+            None)
     in
-    let rec visit (id : int) (state : 'state) (disp : 'state dispatch)
-        (trace : Loc.t list) (steps : 'state raw_step list) =
-      (* single hash probe: [replace] adds iff the key is new, which the
-         length reveals — the old [mem]-then-[replace] hashed twice *)
-      let before = Hashtbl.length visited in
-      Hashtbl.replace visited (id, state) ();
-      if Hashtbl.length visited > before then begin
-        incr nodes_visited;
-        (match limiter with Some lim -> consume_fuel lim | None -> ());
-        let node = Cfg.node cfg id in
-        let trace = node.Cfg.loc :: trace in
-        match step id state disp trace steps with
-        | None -> ()
-        | Some (state, disp, steps) ->
-          if id = cfg.Cfg.exit then begin
-            if not (Hashtbl.mem exit_states state) then begin
-              Hashtbl.replace exit_states state ();
-              match at_exit with
-              | Some hook ->
-                (* diagnostics from the exit hook witness the whole path
-                   plus a synthetic return step *)
-                let ret_step =
-                  { r_loc = node.Cfg.loc; r_event = None; r_from = state;
-                    r_to = Some state }
-                in
-                let witness = render_steps state_str (ret_step :: steps) in
-                let ctx =
-                  {
-                    Sm.func;
-                    matched = Ast.ident "return";
-                    loc = node.Cfg.loc;
-                    bindings = Binding.empty;
-                    trace = List.rev trace;
-                    emit = (fun d -> emit (Diag.with_witness witness d));
-                  }
-                in
-                hook ctx state
-              | None -> ()
-            end
+    consume soa.Prep.node_off.(id) state disp steps
+  in
+  let rec visit (id : int) (state : 'state) (disp : 'state dispatch)
+      (trace : Loc.t list) (steps : 'state raw_step list) =
+    (* single hash probe: [replace] adds iff the key is new, which the
+       length reveals *)
+    let before = Hashtbl.length visited in
+    Hashtbl.replace visited (id, state) ();
+    if Hashtbl.length visited > before then begin
+      incr nodes_visited;
+      (match limiter with Some lim -> consume_fuel lim | None -> ());
+      let node = Cfg.node cfg id in
+      let trace = node.Cfg.loc :: trace in
+      match step id state disp trace steps with
+      | None -> ()
+      | Some (state, disp, steps) ->
+        if id = cfg.Cfg.exit then begin
+          if not (Hashtbl.mem exit_states state) then begin
+            Hashtbl.replace exit_states state ();
+            match at_exit with
+            | Some hook ->
+              apply_exit ~func ~state_str ~emit ~trace:(List.rev trace) hook
+                node.Cfg.loc state steps
+            | None -> ()
           end
-          else
-            List.iter
-              (fun (label, succ) ->
-                let state' =
-                  match (sm.Sm.branch, node.Cfg.kind, label) with
-                  | Some refine, Cfg.Branch cond, Cfg.True ->
-                    refine state cond true
-                  | Some refine, Cfg.Branch cond, Cfg.False ->
-                    refine state cond false
-                  | _ -> state
-                in
-                let disp' =
-                  if state' == state then disp else dispatch_for state'
-                in
-                visit succ state' disp' trace steps)
-              node.Cfg.succs
-      end
-    in
-    let traverse () =
-      visit cfg.Cfg.entry start_state (dispatch_for start_state) [] [];
-      Mcmetrics.inc ~by:!nodes_visited m_nodes_visited;
-      Mcmetrics.inc ~by:!events_matched m_events_matched;
-      Mcmetrics.inc ~by:!paths_stopped m_paths_stopped;
-      Mcmetrics.inc ~by:(Hashtbl.length exit_states) m_exit_states;
-      Diag.normalize !diags
-    in
-    if Mcobs.enabled () then
-      Mcobs.with_span "engine.check_fn"
-        ~args:
-          [
-            ("checker", sm.Sm.name);
-            ("func", func.Ast.f_name);
-            ("cfg_nodes", string_of_int (Array.length cfg.Cfg.nodes));
-            ("cfg_edges", string_of_int prep.Prep.n_edges);
-          ]
-        traverse
-    else traverse ()
+        end
+        else
+          List.iter
+            (fun (label, succ) ->
+              let state' =
+                match (sm.Sm.branch, node.Cfg.kind, label) with
+                | Some refine, Cfg.Branch cond, Cfg.True ->
+                  refine state cond true
+                | Some refine, Cfg.Branch cond, Cfg.False ->
+                  refine state cond false
+                | _ -> state
+              in
+              let disp' =
+                if state' == state then disp else dispatch_for state'
+              in
+              visit succ state' disp' trace steps)
+            node.Cfg.succs
+    end
+  in
+  let traverse () =
+    visit cfg.Cfg.entry start_state (dispatch_for start_state) [] [];
+    Mcmetrics.inc ~by:!nodes_visited m_nodes_visited;
+    Mcmetrics.inc ~by:!events_matched m_events_matched;
+    Mcmetrics.inc ~by:!paths_stopped m_paths_stopped;
+    Mcmetrics.inc ~by:(Hashtbl.length exit_states) m_exit_states;
+    Diag.normalize !diags
+  in
+  if Mcobs.enabled () then
+    Mcobs.with_span "engine.check_fn"
+      ~args:
+        [
+          ("checker", sm.Sm.name);
+          ("func", func.Ast.f_name);
+          ("cfg_nodes", string_of_int (Array.length cfg.Cfg.nodes));
+          ("cfg_edges", string_of_int prep.Prep.n_edges);
+        ]
+      traverse
+  else traverse ()
 
 (* ------------------------------------------------------------------ *)
-(* The degraded (flow-insensitive) traversal                           *)
+(* The degraded (flow-insensitive) walk                                *)
 (* ------------------------------------------------------------------ *)
 
-(* One pass over the nodes in id (roughly source) order, threading a
+(* One pass over the arena in node id (roughly source) order, threading a
    single machine state; branches are not explored and [branch]
    refinement is skipped.  Linear in event count, hence total — the
-   fallback when the path-sensitive traversal crashed or blew its
-   budget.  Diagnostics it emits are real (every event it matches is in
-   the function), it can only miss path-dependent ones. *)
-let check_prep_flat ?(at_exit : 'state exit_hook option)
-    ?(dispatch_for : ('state -> 'state dispatch) option) (sm : 'state Sm.t)
-    (prep : Prep.t) : Diag.t list =
+   fallback when the path-sensitive walk crashed or blew its budget.
+   Diagnostics it emits are real (every event it matches is in the
+   function), it can only miss path-dependent ones. *)
+let walk_flat ~(at_exit : 'state exit_hook option)
+    ~(dispatch_for : 'state -> 'state dispatch) (sm : 'state Sm.t)
+    (start_state : 'state) (prep : Prep.t) : Diag.t list =
   let func = prep.Prep.func in
-  match sm.Sm.start func with
+  let cfg = prep.Prep.cfg in
+  let soa = prep.Prep.soa in
+  let observe = sm.Sm.observe_branches in
+  let diags = ref [] in
+  let emit d = diags := d :: !diags in
+  let state_str = sm.Sm.state_to_string in
+  let rec consume j state disp steps =
+    if j >= Array.length soa.Prep.ev_class then Some (state, steps)
+    else
+      match fire ~observe soa disp j with
+      | None -> consume (j + 1) state disp steps
+      | Some fired -> (
+        let outcome, steps =
+          apply ~func ~state_str ~emit ~trace:[] fired soa.Prep.ev_expr.(j)
+            state steps
+        in
+        match outcome with
+        | Sm.Stay -> consume (j + 1) state disp steps
+        | Sm.Goto next -> consume (j + 1) next (dispatch_for next) steps
+        | Sm.Stop -> None)
+  in
+  (match (consume 0 start_state (dispatch_for start_state) [], at_exit) with
+  | Some (state, steps), Some hook ->
+    apply_exit ~func ~state_str ~emit ~trace:[] hook
+      (Cfg.node cfg cfg.Cfg.exit).Cfg.loc state steps
+  | _ -> ());
+  Mcmetrics.inc m_degraded_runs;
+  Diag.normalize !diags
+
+(** Run one packed machine over one prepared function — the single
+    per-machine entry point.  Honours the domain's containment context:
+    raises {!Injected_fault} if the test hook matches, runs
+    flow-insensitively inside {!with_degraded}, and raises
+    {!Budget_exhausted} when a {!with_budget} limit runs out. *)
+let check_prep (Pmachine { p_sm = sm; p_at_exit = at_exit; p_dispatch })
+    (prep : Prep.t) : Diag.t list =
+  check_fault_hook ~checker:sm.Sm.name ~func:prep.Prep.func.Ast.f_name;
+  match sm.Sm.start prep.Prep.func with
   | None -> []
   | Some start_state ->
-    let cfg = prep.Prep.cfg in
-    let events =
-      Prep.events prep ~observe_branches:sm.Sm.observe_branches
+    let walk =
+      if Domain.DLS.get degraded_key then walk_flat else walk_paths
     in
-    let diags = ref [] in
-    let emit d = diags := d :: !diags in
-    let state_str = sm.Sm.state_to_string in
-    let dispatch_for =
-      match dispatch_for with
-      | Some f -> f
-      | None -> cached_dispatch_for sm
-    in
-    let state = ref start_state in
-    let disp = ref (dispatch_for start_state) in
-    let steps = ref ([] : 'state raw_step list) in
-    let stopped = ref false in
-    let n_nodes = Array.length cfg.Cfg.nodes in
-    (try
-       for id = 0 to n_nodes - 1 do
-         let evs = events.(id) in
-         for i = 0 to Array.length evs - 1 do
-           let event = evs.(i) in
-           let fired =
-             List.find_map
-               (fun (r : 'state Sm.rule) ->
-                 match Pattern.match_expr r.Sm.pattern event with
-                 | Some bindings -> Some (r, bindings)
-                 | None -> None)
-               (candidates !disp event)
-           in
-           match fired with
-           | None -> ()
-           | Some (r, bindings) ->
-             let pending = ref [] in
-             let ctx =
-               {
-                 Sm.func;
-                 matched = event;
-                 loc = event.Ast.eloc;
-                 bindings;
-                 trace = [];
-                 emit = (fun d -> pending := d :: !pending);
-               }
-             in
-             let outcome = r.Sm.action ctx in
-             let r_to =
-               match outcome with
-               | Sm.Stay -> Some !state
-               | Sm.Goto next -> Some next
-               | Sm.Stop -> None
-             in
-             steps :=
-               { r_loc = event.Ast.eloc; r_event = Some event;
-                 r_from = !state; r_to }
-               :: !steps;
-             (match !pending with
-             | [] -> ()
-             | pending ->
-               let witness = render_steps state_str !steps in
-               List.iter
-                 (fun d -> emit (Diag.with_witness witness d))
-                 (List.rev pending));
-             (match outcome with
-             | Sm.Stay -> ()
-             | Sm.Goto next ->
-               state := next;
-               disp := dispatch_for next
-             | Sm.Stop ->
-               stopped := true;
-               raise Exit)
-         done
-       done
-     with Exit -> ());
-    (if not !stopped then
-       match at_exit with
-       | Some hook ->
-         let exit_loc = (Cfg.node cfg cfg.Cfg.exit).Cfg.loc in
-         let ret_step =
-           { r_loc = exit_loc; r_event = None; r_from = !state;
-             r_to = Some !state }
-         in
-         let witness = render_steps state_str (ret_step :: !steps) in
-         let ctx =
-           {
-             Sm.func;
-             matched = Ast.ident "return";
-             loc = exit_loc;
-             bindings = Binding.empty;
-             trace = [];
-             emit = (fun d -> emit (Diag.with_witness witness d));
-           }
-         in
-         hook ctx !state
-       | None -> ());
-    Mcmetrics.inc m_degraded_runs;
-    Diag.normalize !diags
-
-(** Run one machine over one prepared function.  Honours the domain's
-    containment context: raises {!Injected_fault} if the test hook
-    matches, runs flow-insensitively inside {!with_degraded}, and
-    raises {!Budget_exhausted} when a {!with_budget} limit runs out. *)
-let check_prep ?at_exit (sm : 'state Sm.t) (prep : Prep.t) : Diag.t list =
-  check_fault_hook ~checker:sm.Sm.name ~func:prep.Prep.func.Ast.f_name;
-  if Domain.DLS.get degraded_key then check_prep_flat ?at_exit sm prep
-  else check_prep_full ?at_exit sm prep
-
-(* ------------------------------------------------------------------ *)
-(* Prebuilt dispatch tables                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A machine over dense integer states with every state's dispatch index
-   compiled up front — once per machine, not once per checked function.
-   This is what the metal compiler's transition tables plug into: same
-   traversal, same containment context, but the per-function
-   [dispatch_cache] hashing is replaced by an array load. *)
-type table = { t_sm : int Sm.t; t_dispatch : int dispatch array }
-
-let prebuild ~(n_states : int) (sm : int Sm.t) : table =
-  {
-    t_sm = sm;
-    t_dispatch =
-      Array.init n_states (fun s -> build_dispatch (sm.Sm.rules s @ sm.Sm.all));
-  }
-
-let table_sm (t : table) : int Sm.t = t.t_sm
-
-(** [check_prep] for a prebuilt table — honours the same fault hook,
-    degraded mode, and budget as the generic path. *)
-let check_prep_table ?at_exit (t : table) (prep : Prep.t) : Diag.t list =
-  check_fault_hook ~checker:t.t_sm.Sm.name ~func:prep.Prep.func.Ast.f_name;
-  let dispatch_for s = t.t_dispatch.(s) in
-  if Domain.DLS.get degraded_key then
-    check_prep_flat ?at_exit ~dispatch_for t.t_sm prep
-  else check_prep_full ?at_exit ~dispatch_for t.t_sm prep
+    walk ~at_exit ~dispatch_for:(p_dispatch ()) sm start_state prep
 
 (* ------------------------------------------------------------------ *)
 (* Generic reindexing: a finite machine lowered onto dense int states   *)
@@ -698,29 +653,10 @@ let containment_active () =
   || Option.is_some (Domain.DLS.get limiter_key)
   || Option.is_some !fault_hook
 
-(** A machine packed for the product scan, its state type hidden. *)
-type pmachine =
-  | Pmachine : {
-      p_sm : 'state Sm.t;
-      p_at_exit : 'state exit_hook option;
-      p_dispatch : ('state -> 'state dispatch) option;
-    }
-      -> pmachine
-
-let pack ?at_exit (sm : 'state Sm.t) : pmachine =
-  Pmachine { p_sm = sm; p_at_exit = at_exit; p_dispatch = None }
-
-let pack_table ?at_exit (t : table) : pmachine =
-  Pmachine
-    {
-      p_sm = t.t_sm;
-      p_at_exit = at_exit;
-      p_dispatch = Some (fun s -> t.t_dispatch.(s));
-    }
-
 exception Product_overflow
-(** the product vector space of this function blew the scan's visit cap;
-    callers fall back to per-checker traversals *)
+(** the function does not fit the scan: the packed visited key cannot
+    hold it, or its product vector space blew the visit cap; callers
+    re-run every machine per checker *)
 
 (* Sentinel for a machine with no live state on this path: inactive on
    the function, stopped by a rule, or already known dirty. *)
@@ -733,7 +669,7 @@ let p_stopped = -1
    once and flags each machine that could emit a diagnostic (from a rule
    action or its exit hook).  A clean machine's per-checker result is []
    by construction; a dirty machine re-runs through the ordinary
-   traversal, whose output — witnesses included — is the per-checker
+   walk, whose output — witnesses included — is the per-checker
    path's, byte for byte.
 
    Why detection is exact: per-checker, emissions fire exactly at fresh
@@ -750,7 +686,6 @@ let p_stopped = -1
    still reaches every sub-vector). *)
 type pinst = {
   i_start : int option;
-  i_observe : bool;
   i_has_branch : bool;
   i_step : int -> int -> int;  (** node -> state id -> out id / stopped *)
   i_refine : int -> Ast.expr -> bool -> int;
@@ -762,7 +697,6 @@ type pinst = {
 let inactive_inst : pinst =
   {
     i_start = None;
-    i_observe = true;
     i_has_branch = false;
     i_step = (fun _ s -> s);
     i_refine = (fun s _ _ -> s);
@@ -783,11 +717,7 @@ let make_inst (prep : Prep.t) (pm : pmachine) : pinst =
       let n_nodes = Array.length cfg.Cfg.nodes in
       let dirty = ref false in
       let emit _ = dirty := true in
-      let dispatch_for =
-        match p_dispatch with
-        | Some f -> f
-        | None -> cached_dispatch_for sm
-      in
+      let dispatch_for = p_dispatch () in
       (* dynamic state interning: dense ids under structural equality —
          the same equality the per-checker visited set uses *)
       let states = ref (Array.make 8 start_state) in
@@ -818,62 +748,33 @@ let make_inst (prep : Prep.t) (pm : pmachine) : pinst =
         match Hashtbl.find_opt memo key with
         | Some out -> out
         | None ->
-          let off = soa.Prep.node_off.(node) in
-          let stop_at = off + soa.Prep.node_len.(node) in
+          let stop_at = soa.Prep.node_off.(node) + soa.Prep.node_len.(node) in
           let rec consume j state disp =
             if j >= stop_at then id_of state
-            else if
-              (not observe)
-              && soa.Prep.ev_flags.(j) land Prep.soa_hidden_bit <> 0
-            then consume (j + 1) state disp
-            else begin
-              (* int screening over the SoA columns before any pattern
-                 or expression is touched *)
-              let cls = soa.Prep.ev_class.(j) in
-              let rules =
-                if cls = Pattern.tag_call then begin
-                  let callee = soa.Prep.ev_callee.(j) in
-                  if callee >= 0 then
-                    match Hashtbl.find_opt disp.d_by_sym callee with
-                    | Some rs -> rs
-                    | None -> disp.d_by_tag.(Pattern.tag_call)
-                  else disp.d_by_tag.(Pattern.tag_call)
-                end
-                else disp.d_by_tag.(cls)
-              in
-              match rules with
-              | [] -> consume (j + 1) state disp
-              | rules -> (
+            else
+              match fire ~observe soa disp j with
+              | None -> consume (j + 1) state disp
+              | Some (r, bindings) -> (
                 let event = soa.Prep.ev_expr.(j) in
-                let fired =
-                  List.find_map
-                    (fun (r : _ Sm.rule) ->
-                      match Pattern.match_expr r.Sm.pattern event with
-                      | Some bindings -> Some (r, bindings)
-                      | None -> None)
-                    rules
+                let ctx =
+                  {
+                    Sm.func;
+                    matched = event;
+                    loc = event.Ast.eloc;
+                    bindings;
+                    trace = [];
+                    emit;
+                  }
                 in
-                match fired with
-                | None -> consume (j + 1) state disp
-                | Some (r, bindings) ->
-                  let ctx =
-                    {
-                      Sm.func;
-                      matched = event;
-                      loc = event.Ast.eloc;
-                      bindings;
-                      trace = [];
-                      emit;
-                    }
-                  in
-                  (match r.Sm.action ctx with
-                  | Sm.Stay -> consume (j + 1) state disp
-                  | Sm.Goto next -> consume (j + 1) next (dispatch_for next)
-                  | Sm.Stop -> p_stopped))
-            end
+                match r.Sm.action ctx with
+                | Sm.Stay -> consume (j + 1) state disp
+                | Sm.Goto next -> consume (j + 1) next (dispatch_for next)
+                | Sm.Stop -> p_stopped)
           in
           let state = !states.(s_id) in
-          let out = consume off state (dispatch_for state) in
+          let out =
+            consume soa.Prep.node_off.(node) state (dispatch_for state)
+          in
           Hashtbl.add memo key out;
           out
       in
@@ -905,7 +806,6 @@ let make_inst (prep : Prep.t) (pm : pmachine) : pinst =
       in
       {
         i_start = Some start_id;
-        i_observe = observe;
         i_has_branch = Option.is_some sm.Sm.branch;
         i_step = step;
         i_refine = refine;
@@ -914,15 +814,10 @@ let make_inst (prep : Prep.t) (pm : pmachine) : pinst =
         i_dirty = (fun () -> !dirty);
       })
 
-exception Pack_overflow
-(* internal to [product_scan]: a dynamic machine outgrew the 8-bit
-   state field of the packed visited key; the scan restarts with
-   structural keys *)
-
 (* Open-addressing set of non-negative ints, linear probing, zero
-   allocation per insert: the packed-key fast path of [product_scan]
-   tests ~80k configurations per corpus run, and a generic [Hashtbl]
-   would allocate a bucket (and hash a key array) for each. *)
+   allocation per insert: [product_scan] tests ~80k configurations per
+   corpus run, and a generic [Hashtbl] would allocate a bucket (and hash
+   a key array) for each. *)
 module Iset = struct
   type t = { mutable slots : int array; mutable mask : int; mutable n : int }
 
@@ -962,53 +857,43 @@ module Iset = struct
     fresh
 end
 
+(* The packed visited key folds (node, state vector) into one int: 14
+   bits of node, then 8 bits per machine holding its state id + 1. *)
+let max_machines = 6
+let max_nodes = 0x3FFF
+let max_state_field = 0xFF
+
 (** One fused walk of the product automaton over a prepared function.
     Returns a per-machine flag: [false] means the machine provably emits
     nothing on this function (its per-checker result is []); [true]
     means it may emit and must re-run through {!check_prep}.
 
     Honours an installed budget ({!Budget_exhausted} propagates).
-    @raise Product_overflow when the function's product vector space
-    exceeds the visit cap — callers fall back per checker. *)
+    @raise Product_overflow when the packed key cannot hold the function
+    or the visit cap blows — callers re-run every machine. *)
 let product_scan (prep : Prep.t) (machines : pmachine array) : bool array =
   let m = Array.length machines in
   let cfg = prep.Prep.cfg in
   let n_nodes = Array.length cfg.Cfg.nodes in
-  (* Visited-set representation.  Packed mode folds (node, vector) into
-     one tagged int — 14 bits of node, 8 bits per machine state — and
-     dedups through the allocation-free [Iset]; it covers every real
-     function (6 machines, <16k nodes, <255 live states per machine).
-     The structural-key path remains both as the fallback when packing
-     overflows mid-scan and as the shape for degenerate inputs. *)
-  let packed_ok = m <= 6 && n_nodes <= 0x3FFF in
-  let run ~packed =
+  let unpackable () =
+    Mcmetrics.inc m_pack_fallbacks;
+    raise Product_overflow
+  in
+  if m > max_machines || n_nodes > max_nodes then unpackable ();
   let insts = Array.map (make_inst prep) machines in
   if not (Array.exists (fun i -> Option.is_some i.i_start) insts) then
     Array.make m false
   else begin
     let limiter = Domain.DLS.get limiter_key in
     let iset = Iset.create () in
-    let visited : (int array, unit) Hashtbl.t =
-      if packed then Hashtbl.create 1
-      else Hashtbl.create (max 16 (4 * n_nodes))
-    in
     let fresh_visit node (vec : int array) =
-      if packed then begin
-        let key = ref node in
-        for i = 0 to m - 1 do
-          let s = vec.(i) + 1 in
-          if s > 0xFF then raise Pack_overflow;
-          key := !key lor (s lsl (14 + (8 * i)))
-        done;
-        Iset.add iset !key
-      end
-      else begin
-        let key = Array.make (m + 1) node in
-        Array.blit vec 0 key 1 m;
-        let before = Hashtbl.length visited in
-        Hashtbl.replace visited key ();
-        Hashtbl.length visited > before
-      end
+      let key = ref node in
+      for i = 0 to m - 1 do
+        let s = vec.(i) + 1 in
+        if s > max_state_field then unpackable ();
+        key := !key lor (s lsl (14 + (8 * i)))
+      done;
+      Iset.add iset !key
     in
     let visits = ref 0 in
     (* generous: clean protocol code sees a handful of distinct vectors
@@ -1066,33 +951,18 @@ let product_scan (prep : Prep.t) (machines : pmachine array) : bool array =
     Mcmetrics.inc ~by:!visits m_product_nodes;
     Array.map (fun i -> i.i_dirty ()) insts
   end
-  in
-  if packed_ok then
-    try run ~packed:true
-    with Pack_overflow ->
-      Mcmetrics.inc m_pack_fallbacks;
-      run ~packed:false
-  else run ~packed:false
-
-let check_func ?at_exit (sm : 'state Sm.t) (func : Ast.func) : Diag.t list =
-  check_prep ?at_exit sm (Prep.build func)
 
 type target =
   [ `Func of Ast.func | `Unit of Ast.tunit | `Program of Ast.tunit list ]
 
-(** The single entry point: check a function, a translation unit, or a
-    whole program. *)
+(** The convenient entry point: check a function, a translation unit, or
+    a whole program, building a private prep per function. *)
 let check ?at_exit (sm : 'state Sm.t) (target : target) : Diag.t list =
+  let pm = pack ?at_exit sm in
+  let check_unit tu =
+    List.concat_map (fun f -> check_prep pm (Prep.build f)) (Ast.functions tu)
+  in
   match target with
-  | `Func f -> check_func ?at_exit sm f
-  | `Unit tu ->
-    List.concat_map
-      (fun f -> check_func ?at_exit sm f)
-      (Ast.functions tu)
-  | `Program tus ->
-    List.concat_map
-      (fun tu ->
-        List.concat_map
-          (fun f -> check_func ?at_exit sm f)
-          (Ast.functions tu))
-      tus
+  | `Func f -> check_prep pm (Prep.build f)
+  | `Unit tu -> check_unit tu
+  | `Program tus -> List.concat_map check_unit tus

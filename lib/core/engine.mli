@@ -67,33 +67,21 @@ val check :
   'state Sm.t ->
   target ->
   Diag.t list
-(** the single entry point; diagnostics come back sorted and deduplicated
-    per function, concatenated in source order across functions *)
+(** the convenient entry point; diagnostics come back sorted and
+    deduplicated per function, concatenated in source order across
+    functions *)
 
-val check_prep :
-  ?at_exit:'state exit_hook ->
-  'state Sm.t ->
-  Prep.t ->
-  Diag.t list
-(** the fused fast path: check one prepared function, reusing its CFG
-    and event arrays — [check sm (`Func f)] is
-    [check_prep sm (Prep.build f)].  Drivers running several machines
-    over the same function build the prep once and call this per
-    machine.
+(** {2 Packed machines}
 
-    Honours the domain's containment context: raises {!Injected_fault}
-    if the fault hook matches, runs flow-insensitively inside
-    {!with_degraded}, raises {!Budget_exhausted} under an exhausted
-    {!with_budget}. *)
-
-(** {2 Prebuilt dispatch tables}
-
-    A machine over dense integer states [0 .. n_states-1] can have every
-    state's root-dispatch index compiled up front — once per machine
+    Every walk runs a {e packed} machine: a state machine with its exit
+    hook and its dispatch provider, state type hidden.  A generic
+    machine compiles each state's dispatch index on first encounter, in
+    a cache private to one run; a prebuilt {!table} over dense integer
+    states has every state's index compiled up front — once per machine
     instead of once per checked function.  This is what the metal
-    compiler ([lib/metalc]) plugs its transition tables into: same
-    traversal and containment semantics as {!check_prep}, with the
-    per-function dispatch cache replaced by an array load. *)
+    compiler ([lib/metalc]) plugs its transition tables into: same walks
+    and containment semantics, with the dispatch cache replaced by an
+    array load. *)
 
 type table
 (** an [int Sm.t] with prebuilt per-state dispatch *)
@@ -102,16 +90,34 @@ val prebuild : n_states:int -> int Sm.t -> table
 (** compile the dispatch index of every state in [0 .. n_states-1]; the
     machine must only ever reach states in that range *)
 
-val table_sm : table -> int Sm.t
-(** the underlying machine *)
+val reindex : 'state array -> 'state Sm.t -> int Sm.t
+(** [reindex states sm] lowers a machine whose reachable states are
+    exactly the entries of [states] onto dense integer states — the
+    transition-table shape — so it can be {!prebuild}-compiled once.
+    @raise Invalid_argument if the machine leaves the declared set *)
 
-val check_prep_table :
-  ?at_exit:int exit_hook ->
-  table ->
-  Prep.t ->
-  Diag.t list
-(** {!check_prep} for a prebuilt table — honours the same fault hook,
-    degraded mode, and budget *)
+type pmachine
+(** a packed state machine, state type hidden *)
+
+val pack : ?at_exit:'state exit_hook -> 'state Sm.t -> pmachine
+
+val pack_table : ?at_exit:int exit_hook -> table -> pmachine
+(** pack a prebuilt table; per-state dispatch is an array load *)
+
+val machine_name : pmachine -> string
+(** the packed machine's [Sm.name] *)
+
+val check_prep : pmachine -> Prep.t -> Diag.t list
+(** the single per-machine entry point: check one prepared function,
+    reusing its CFG and event arena — [check sm (`Func f)] is
+    [check_prep (pack sm) (Prep.build f)].  Drivers running several
+    machines over the same function build the prep once and call this
+    per machine.
+
+    Honours the domain's containment context: raises {!Injected_fault}
+    if the fault hook matches, runs flow-insensitively inside
+    {!with_degraded}, raises {!Budget_exhausted} under an exhausted
+    {!with_budget}. *)
 
 (** {2 The product automaton}
 
@@ -124,27 +130,22 @@ val check_prep_table :
     Dirty machines re-run through {!check_prep}, whose output (witnesses
     included) is byte-identical to the per-checker path.
 
+    The visited set is one packed int per (node, state vector): 14 bits
+    of node and 8 bits per machine.  A function that key cannot hold —
+    more than 6 machines, more than 16K nodes, or a machine past 254
+    live states — is not scanned: {!product_scan} raises
+    {!Product_overflow} and the caller re-runs every machine, which is
+    the per-checker result by construction.
+
     Drivers must delegate to the per-checker path whenever
     {!containment_active} — budgets, degraded mode and fault injection
     keep their exact per-checker semantics that way. *)
 
-type pmachine
-(** a state machine packed for the product scan, state type hidden *)
-
-val pack : ?at_exit:'state exit_hook -> 'state Sm.t -> pmachine
-
-val pack_table : ?at_exit:int exit_hook -> table -> pmachine
-(** pack a prebuilt table; per-state dispatch is an array load *)
-
-val reindex : 'state array -> 'state Sm.t -> int Sm.t
-(** [reindex states sm] lowers a machine whose reachable states are
-    exactly the entries of [states] onto dense integer states — the
-    transition-table shape — so it can be {!prebuild}-compiled once.
-    @raise Invalid_argument if the machine leaves the declared set *)
-
 exception Product_overflow
-(** the product vector space of a function blew the scan's visit cap;
-    callers fall back to per-checker traversals *)
+(** the function does not fit the scan — the packed visited key cannot
+    hold it (counted by [mcheck_product_pack_fallbacks_total]) or its
+    product vector space blew the visit cap; callers re-run every
+    machine per checker *)
 
 val containment_active : unit -> bool
 (** is a budget, degraded mode, or fault hook armed on this domain? *)
@@ -152,8 +153,4 @@ val containment_active : unit -> bool
 val product_scan : Prep.t -> pmachine array -> bool array
 (** one fused walk; [result.(i)] is [true] iff machine [i] may emit on
     this function and must re-run per checker.  Honours an installed
-    budget. @raise Product_overflow when the visit cap blows *)
-
-val subexprs_post : Ast.expr -> Ast.expr list
-(** sub-expressions in evaluation (post-) order, including the root —
-    the event order rules see *)
+    budget. @raise Product_overflow when the function does not fit *)

@@ -46,7 +46,10 @@ let create () : (t, string) result =
       let path = Filename.concat dir (name ^ ".metal") in
       match Mrun.load_file path with
       | Ok c ->
-        Ok (name, Registry.of_table c, Registry.of_sm (Mdsl.load_file path))
+        Ok
+          ( name,
+            Registry.of_machine c,
+            Registry.of_machine (Engine.pack (Mdsl.load_file path)) )
       | Error es ->
         Error
           (Printf.sprintf "metalc oracle: %s: %s" path

@@ -1,18 +1,18 @@
 (** Running compiled metal checkers.
 
-    A {!t} is a loaded metal checker: the codegen tables lowered onto an
-    {!Engine.table} — an [int Sm.t] whose per-state rule lists are
-    precomputed arrays of single-branch rules and whose root-dispatch
+    A {!t} is a loaded metal checker: the codegen tables lowered onto a
+    packed {!Engine.table} — an [int Sm.t] whose per-state rule lists
+    are precomputed arrays of single-branch rules and whose root-dispatch
     index is prebuilt once per machine ({!Engine.prebuild}) instead of
     once per checked function.  Actions have {!Mdsl.to_sm}'s semantics
     ([Sm.err ~checker:name] then the outcome) and compiled state ids
     render back to their metal names, so diagnostics — messages,
     locations, witnesses — are byte-identical to the {!Mdsl}
     interpreter's; the seventh Mcfuzz oracle holds the two to that.
-    [Registry.of_table] lifts a loaded spec into a registry checker, so
+    [Registry.of_machine] lifts a loaded spec into a registry checker, so
     it runs through the same kernel as the built-in checkers. *)
 
-type t = Engine.table
+type t = Engine.pmachine
 
 (* ------------------------------------------------------------------ *)
 (* Lowering tables onto the engine                                     *)
@@ -48,7 +48,9 @@ let sm_of_tables (g : Mcodegen.t) : int Sm.t =
     ()
 
 let of_tables (g : Mcodegen.t) : t =
-  Engine.prebuild ~n_states:(Array.length g.Mcodegen.g_states) (sm_of_tables g)
+  Engine.pack_table
+    (Engine.prebuild ~n_states:(Array.length g.Mcodegen.g_states)
+       (sm_of_tables g))
 
 (* ------------------------------------------------------------------ *)
 (* Loading                                                             *)

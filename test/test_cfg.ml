@@ -157,9 +157,95 @@ let prop_max_at_least_avg =
       let stats = Paths.analyze (random_cfg seed) in
       float_of_int stats.Paths.max_length >= Paths.average_length stats)
 
+(* Scaling: [Cfg.build] and typecheck must stay about linear in the
+   nesting depth of [if]s.  Best of 3 at depth n and 4n: linear code gives
+   a ratio near 4; the quadratic builders (list appends per nesting
+   level, a scope-stack walk per identifier) gave about 23.
+
+   Depth n is measured over 4 copies of the function, so both sizes
+   touch the same amount of memory and sit in the same cache and
+   minor-heap regime; each sample ends with a minor collection, so
+   promoting the result is always counted.  Samples of about a
+   millisecond are at the mercy of a shared host, so a ratio must reach
+   8 in three separate measurements to fail — a quadratic layer does so
+   every time. *)
+let nested_ifs ~copies depth =
+  let b = Buffer.create (copies * depth * 12) in
+  for i = 1 to copies do
+    Printf.bprintf b "void deep%d(int x) {\n  int y = x;\n" i;
+    for _ = 1 to depth do
+      Buffer.add_string b "if (y) {\n"
+    done;
+    Buffer.add_string b "y = x + 1;\n";
+    for _ = 1 to depth do
+      Buffer.add_string b "}\n"
+    done;
+    Buffer.add_string b "}\n"
+  done;
+  Buffer.contents b
+
+let best_of_3_ms f =
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    Gc.full_major ();
+    let t0 = Mcobs.now_us () in
+    let r = f () in
+    Gc.minor ();
+    best := Float.min !best ((Mcobs.now_us () -. t0) /. 1000.);
+    ignore (Sys.opaque_identity r)
+  done;
+  !best
+
+let scaling_cases =
+  [
+    t "Cfg.build and typecheck scale linearly in if-nesting depth" `Quick
+      (fun () ->
+        let n = 2000 in
+        let inputs =
+          List.map
+            (fun (copies, depth) ->
+              ( copies,
+                Parser.parse_string ~file:"deep.c"
+                  (nested_ifs ~copies depth) ))
+            [ (4, n); (1, 4 * n) ]
+        in
+        (* per-function ms of each layer at n and at 4n *)
+        let measure () =
+          List.map
+            (fun (copies, tu) ->
+              let per ms = ms /. float_of_int copies in
+              ( per
+                  (best_of_3_ms (fun () ->
+                       List.map Cfg.build (Ast.functions tu))),
+                per (best_of_3_ms (fun () -> Typecheck.annotate tu)) ))
+            inputs
+        in
+        let rec attempt k =
+          match measure () with
+          | [ (cfg_n, tc_n); (cfg_4n, tc_4n) ] ->
+            let over =
+              List.filter
+                (fun (_, small, big) -> big /. small >= 8.)
+                [ ("Cfg.build", cfg_n, cfg_4n); ("typecheck", tc_n, tc_4n) ]
+            in
+            if over <> [] then
+              if k > 1 then attempt (k - 1)
+              else
+                Alcotest.failf "not linear in nesting depth: %s"
+                  (String.concat "; "
+                     (List.map
+                        (fun (layer, small, big) ->
+                          Printf.sprintf "%s %.2f ms at %d, %.2f ms at %d (x%.1f)"
+                            layer small n big (4 * n) (big /. small))
+                        over))
+          | _ -> assert false
+        in
+        attempt 3);
+  ]
+
 let suite =
   ( "cfg+paths",
-    structure_cases
+    structure_cases @ scaling_cases
     @ [
         QCheck_alcotest.to_alcotest prop_well_formed;
         QCheck_alcotest.to_alcotest prop_count_matches_enumeration;

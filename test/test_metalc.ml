@@ -47,8 +47,8 @@ let run_both metal_src c_src =
       (Registry.run_checkers ~scan [ c ]
          ~spec:(Mcheck_api.default_spec tus) tus)
   in
-  ( run ~scan:false (Registry.of_sm (Mdsl.load metal_src)),
-    run ~scan:true (Registry.of_table (compile_exn metal_src)) )
+  ( run ~scan:false (Registry.of_machine (Engine.pack (Mdsl.load metal_src))),
+    run ~scan:true (Registry.of_machine (compile_exn metal_src)) )
 
 (* ------------------------------------------------------------------ *)
 (* Surface -> IR                                                       *)

@@ -45,6 +45,24 @@ let build_once_tests =
           (Mcmetrics.counter_value builds - before));
   ]
 
+(* Schedulers may keep a staging past its run (each [Mcd.check_jobs]
+   call stages per domain), so a staging must hold only what the spec
+   builds — machines and closures — never the program it stages for. *)
+let staging_tests =
+  [
+    t "a staging does not retain the program" `Quick (fun () ->
+        let p = Option.get (Corpus.find (Corpus.generate ()) "bitvector") in
+        let st =
+          Registry.stage Registry.all ~spec:p.Corpus.spec
+            (Registry.make_ctx p.Corpus.tus)
+        in
+        let staged = Obj.reachable_words (Obj.repr st) in
+        let program = Obj.reachable_words (Obj.repr p.Corpus.tus) in
+        if staged >= program / 4 then
+          Alcotest.failf "staging reaches %d words, the program %d" staged
+            program);
+  ]
+
 let product_tests =
   [
     t "product walk is identical on the corpus and golden protocols"
@@ -57,7 +75,59 @@ let product_tests =
             (match fs with f :: _ -> f.Fuzz_oracle.f_detail | [] -> ""));
   ]
 
+(* More machines than the packed visited key holds (6): the six built-in
+   machine checkers plus a compiled in-tree metal spec.  The scan cannot
+   run, so every machine re-runs — the per-checker result by
+   construction, which the scan-off render pins down. *)
+let overflow_tests =
+  [
+    t "seven machines: the scan is skipped and every machine re-runs"
+      `Quick (fun () ->
+        let dir =
+          match Fuzz_metalc.find_spec_dir () with
+          | Some d -> d
+          | None -> Alcotest.fail "cannot locate metal/"
+        in
+        let spec_machine =
+          match Mrun.load_file (Filename.concat dir "msglen_check.metal") with
+          | Ok m -> m
+          | Error _ -> Alcotest.fail "msglen_check.metal does not compile"
+        in
+        let checkers = Registry.all @ [ Registry.of_machine spec_machine ] in
+        let fallbacks =
+          Mcmetrics.counter "mcheck_product_pack_fallbacks_total"
+        in
+        List.iter
+          (fun (p : Corpus.protocol) ->
+            let machines =
+              List.filter
+                (fun (c : Registry.checker) ->
+                  match c.Registry.phase with
+                  | Registry.Per_function { product; _ } ->
+                    Option.is_some (product ~spec:p.Corpus.spec)
+                  | Registry.Whole_program _ -> false)
+                checkers
+            in
+            Alcotest.(check bool)
+              "more machines than the packed key holds" true
+              (List.length machines > 6);
+            let run ~scan =
+              explain_render
+                (Registry.run_checkers ~scan checkers ~spec:p.Corpus.spec
+                   p.Corpus.tus)
+            in
+            let before = Mcmetrics.counter_value fallbacks in
+            let scanned = run ~scan:true in
+            Alcotest.(check bool)
+              (p.Corpus.name ^ ": skipped scans counted") true
+              (Mcmetrics.counter_value fallbacks > before);
+            Alcotest.(check (list string))
+              (p.Corpus.name ^ ": scan on = scan off") (run ~scan:false)
+              scanned)
+          (Corpus.generate ()).Corpus.protocols);
+  ]
+
 let suite =
   ( "prep",
-    build_once_tests @ product_tests
+    build_once_tests @ staging_tests @ product_tests @ overflow_tests
     @ [ QCheck_alcotest.to_alcotest prop_fused_identical ] )
